@@ -73,10 +73,10 @@ void CoupledSolver::save_checkpoint(const std::string& path) const {
   collide_->save(os);
   sampler_.save(os);
 
-  io::write_vec(os, prev_total_);
-  io::write_vec(os, prev_pm_);
-  io::write_vec(os, prev_poi_);
-  io::write_vec(os, prev_particle_);
+  io::write_vec(os, prev_busy_.total);
+  io::write_vec(os, prev_busy_.pm);
+  io::write_vec(os, prev_busy_.poi);
+  io::write_vec(os, prev_busy_.particle);
   io::write_vec(os, prev_predicted_);
   io::write_pod(os, lb_stats_);
   cost_model_.save(os);
@@ -119,10 +119,10 @@ void CoupledSolver::restore_checkpoint(const std::string& path) {
   collide_->load(is);
   sampler_.load(is);
 
-  prev_total_ = io::read_vec<double>(is);
-  prev_pm_ = io::read_vec<double>(is);
-  prev_poi_ = io::read_vec<double>(is);
-  prev_particle_ = io::read_vec<double>(is);
+  prev_busy_.total = io::read_vec<double>(is);
+  prev_busy_.pm = io::read_vec<double>(is);
+  prev_busy_.poi = io::read_vec<double>(is);
+  prev_busy_.particle = io::read_vec<double>(is);
   prev_predicted_ = io::read_vec<double>(is);
   lb_stats_ = io::read_pod<balance::RebalanceStats>(is);
   cost_model_.load(is);
@@ -141,6 +141,9 @@ void CoupledSolver::restore_checkpoint(const std::string& path) {
   // (no cost charging: the restored clocks already contain everything).
   rebuild_parallel_structures(phases::kInit, /*charge_costs=*/false);
   history_.clear();
+  // The restored runtime carries every byte migrated since step 0: seed the
+  // step-boundary baseline so the next step's exchange deltas are its own.
+  prev_exch_ = exchange_totals();
 }
 
 }  // namespace dsmcpic::core

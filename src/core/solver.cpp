@@ -28,6 +28,17 @@ double RunSummary::busy_sum_total() const {
   return s;
 }
 
+obs::PhaseRecord phase_record(const std::string& name,
+                              const par::PhaseStats& stats) {
+  return {name,           stats.busy_max,     stats.busy_min,
+          stats.busy_sum, stats.transactions, stats.bytes};
+}
+
+obs::DecisionRecord decision_record(const balance::PolicyDecision& d) {
+  return {d.step, d.lii, d.imbalance_per_step, d.projected_imbalance_cost,
+          d.rebalance_cost_estimate, d.rebalance};
+}
+
 CoupledSolver::CoupledSolver(SolverConfig cfg, ParallelConfig par)
     : CoupledSolver(std::move(cfg), par, nullptr) {}
 
@@ -122,18 +133,7 @@ void CoupledSolver::init() {
   do_poisson_solve(dummy);
 
   // Baseline for the lii window.
-  prev_total_ = rt_->busy_all();
-  prev_pm_ = rt_->busy_totals(std::array<std::string, 2>{
-      phases::kDsmcExchange, phases::kPicExchange});
-  prev_poi_ =
-      rt_->busy_totals(std::array<std::string, 1>{phases::kPoissonSolve});
-  // Particle-proportional phases only: Inject is deliberately excluded —
-  // its work is sharded evenly across ranks (round-robin), so including it
-  // would flatten the measured shares and make heavily loaded cells look
-  // cheaper than they are.
-  prev_particle_ = rt_->busy_totals(
-      std::array<std::string, 3>{phases::kDsmcMove, phases::kColliReact,
-                                 phases::kPicMove});
+  prev_busy_ = busy_window();
 
   cost_model_ = balance::CostModel(pcfg_.balance.cost_model, pcfg_.nranks);
   // The paper's Threshold knob stays the single source of truth for the
@@ -249,19 +249,8 @@ void CoupledSolver::do_dsmc_move(StepDiagnostics& diag) {
   });
   for (const std::int64_t n : exited) diag.exited_dsmc += n;
 
-  if (auditor_) auditor_->on_flagged(flagged_count());
-  const std::int64_t before = auditor_ ? total_particles() : 0;
-  exchange::ExchangeStats ex;
-  {
-    const obs::HostProfiler::Scope prof(prof_, "exchange");
-    ex = exchange::exchange_particles(*rt_, phases::kDsmcExchange,
-                                      pcfg_.strategy, stores_, removed_,
-                                      owner_, /*root=*/0, &neighbors_);
-  }
-  diag.migrated_dsmc = ex.migrated;
-  if (auditor_)
-    auditor_->check_exchange(phases::kDsmcExchange, before, ex.dropped,
-                             total_particles());
+  diag.migrated_dsmc =
+      audited_exchange(phases::kDsmcExchange, owner_, &neighbors_).migrated;
 
   if (cfg_.fault == FaultInjection::kDropParticle) {
     fault_fired_ = true;
@@ -272,6 +261,22 @@ void CoupledSolver::do_dsmc_move(StepDiagnostics& diag) {
       break;
     }
   }
+}
+
+exchange::ExchangeStats CoupledSolver::audited_exchange(
+    const char* phase, std::span<const std::int32_t> owner,
+    const std::vector<std::vector<int>>* neighbors) {
+  if (auditor_) auditor_->on_flagged(flagged_count());
+  const std::int64_t before = auditor_ ? total_particles() : 0;
+  exchange::ExchangeStats ex;
+  {
+    const obs::HostProfiler::Scope prof(prof_, "exchange");
+    ex = exchange::exchange_particles(*rt_, phase, pcfg_.strategy, stores_,
+                                      removed_, owner, /*root=*/0, neighbors);
+  }
+  if (auditor_)
+    auditor_->check_exchange(phase, before, ex.dropped, total_particles());
+  return ex;
 }
 
 void CoupledSolver::do_reindex() {
@@ -413,7 +418,6 @@ void CoupledSolver::do_pic_substep(int substep, StepDiagnostics& diag) {
     for (int ch = 0; ch < kexec_->num_chunks(n); ++ch) {
       st.moved += chunk_st[ch].moved;
       st.walk_steps += chunk_st[ch].walk_steps;
-      st.wall_hits += chunk_st[ch].wall_hits;
       st.exited += chunk_st[ch].exited;
       pushed += chunk_pushed[ch];
       lost[r] += chunk_lost[ch];
@@ -429,19 +433,8 @@ void CoupledSolver::do_pic_substep(int substep, StepDiagnostics& diag) {
     diag.pic_lost += lost[r];
   }
 
-  if (auditor_) auditor_->on_flagged(flagged_count());
-  const std::int64_t before = auditor_ ? total_particles() : 0;
-  exchange::ExchangeStats ex;
-  {
-    const obs::HostProfiler::Scope prof(prof_, "exchange");
-    ex = exchange::exchange_particles(*rt_, phases::kPicExchange,
-                                      pcfg_.strategy, stores_, removed_,
-                                      owner_, /*root=*/0, &neighbors_);
-  }
-  diag.migrated_pic += ex.migrated;
-  if (auditor_)
-    auditor_->check_exchange(phases::kPicExchange, before, ex.dropped,
-                             total_particles());
+  diag.migrated_pic +=
+      audited_exchange(phases::kPicExchange, owner_, &neighbors_).migrated;
   do_poisson_solve(diag);
 }
 
@@ -534,32 +527,22 @@ void CoupledSolver::maybe_rebalance(StepDiagnostics& diag) {
 
   // Eq. (6) inputs over the window since the previous step: per-rank total
   // busy time minus the particle-migration and Poisson components.
-  const std::vector<double> cur_total = rt_->busy_all();
-  const std::vector<double> cur_pm = rt_->busy_totals(std::array<std::string, 2>{
-      phases::kDsmcExchange, phases::kPicExchange});
-  const std::vector<double> cur_poi =
-      rt_->busy_totals(std::array<std::string, 1>{phases::kPoissonSolve});
-  const std::vector<double> cur_particle = rt_->busy_totals(
-      std::array<std::string, 3>{phases::kDsmcMove, phases::kColliReact,
-                                 phases::kPicMove});
+  const BusyWindow cur = busy_window();
   // lii/policy windows cover the ACTIVE prefix (parked ranks do no work);
   // wpart stays nominal-sized — the cost model's per-rank guards skip parked
   // ranks (their predicted load is zero).
   std::vector<double> wt(active_), wpm(active_), wpoi(active_), wcomp(active_);
   std::vector<double> wpart(pcfg_.nranks);
   for (int r = 0; r < active_; ++r) {
-    wt[r] = cur_total[r] - prev_total_[r];
-    wpm[r] = cur_pm[r] - prev_pm_[r];
-    wpoi[r] = cur_poi[r] - prev_poi_[r];
+    wt[r] = cur.total[r] - prev_busy_.total[r];
+    wpm[r] = cur.pm[r] - prev_busy_.pm[r];
+    wpoi[r] = cur.poi[r] - prev_busy_.poi[r];
     // The Eq.-6 signal per rank: pure compute, migration and Poisson out.
     wcomp[r] = wt[r] - wpm[r] - wpoi[r];
   }
   for (int r = 0; r < pcfg_.nranks; ++r)
-    wpart[r] = cur_particle[r] - prev_particle_[r];
-  prev_total_ = cur_total;
-  prev_pm_ = cur_pm;
-  prev_poi_ = cur_poi;
-  prev_particle_ = cur_particle;
+    wpart[r] = cur.particle[r] - prev_busy_.particle[r];
+  prev_busy_ = cur;
 
   const double lii = balance::load_imbalance_indicator(wt, wpm, wpoi);
   diag.lii = lii;
@@ -587,17 +570,9 @@ void CoupledSolver::maybe_rebalance(StepDiagnostics& diag) {
     // it is regressed against the PREVIOUS step's prediction — pairing it
     // with end-of-step counts would make fast-growing ranks look cheap and
     // under-provision exactly where the load is arriving.
-    std::vector<double> predicted(pcfg_.nranks);
-    for (int r = 0; r < pcfg_.nranks; ++r) {
-      const auto n_h = stores_[r].count_species(dsmc::kSpeciesH);
-      const auto n_hp = stores_[r].count_species(dsmc::kSpeciesHPlus);
-      predicted[r] = static_cast<double>(n_h) +
-                     lb.weight_ratio * static_cast<double>(n_hp) +
-                     lb.cell_weight * static_cast<double>(my_cells_[r].size());
-    }
     if (!prev_predicted_.empty())
       cost_model_.observe_step(wpart, prev_predicted_);
-    prev_predicted_ = std::move(predicted);
+    prev_predicted_ = predicted_rank_loads();
   }
 
   if (steps_since_rebalance_ < lb.period) return;
@@ -612,26 +587,13 @@ void CoupledSolver::maybe_rebalance(StepDiagnostics& diag) {
   const balance::PolicyDecision decision = policy_.decide(step_, lii);
   if (!decision.rebalance) return;
 
-  // Per-cell particle counts for the weighted load model.
-  std::vector<std::int64_t> neutrals(coarse_.num_tets(), 0);
-  std::vector<std::int64_t> charged(coarse_.num_tets(), 0);
-  for (int r = 0; r < pcfg_.nranks; ++r) {
-    const auto cells = stores_[r].cells();
-    const auto spec = stores_[r].species();
-    for (std::size_t i = 0; i < stores_[r].size(); ++i) {
-      if (removed_[r][i]) continue;
-      if (species_[spec[i]].charged())
-        ++charged[cells[i]];
-      else
-        ++neutrals[cells[i]];
-    }
-  }
+  const CellCounts counts = count_cell_particles();
 
   // Timer/hybrid weights replace the rebalancer's internal Eq.-7 ones; an
   // empty span keeps the static path bit-identical.
   std::vector<double> weights;
   if (cost_model_.config().kind != balance::CostModelKind::kStatic)
-    weights = cost_model_.cell_weights(owner_, neutrals, charged,
+    weights = cost_model_.cell_weights(owner_, counts.neutrals, counts.charged,
                                        lb.weight_ratio, lb.cell_weight);
 
   // Measured cost of the whole event (repartition + KM + migration +
@@ -642,36 +604,18 @@ void CoupledSolver::maybe_rebalance(StepDiagnostics& diag) {
 
   const obs::HostProfiler::Scope prof_rb(prof_, "rebalance");
   const std::vector<std::int32_t> new_owner = balance::redecompose(
-      *rt_, phases::kRebalance, dual_, coarse_.centroids(), neutrals, charged,
-      owner_, lb, lb_stats_, weights);
+      *rt_, phases::kRebalance, dual_, coarse_.centroids(), counts.neutrals,
+      counts.charged, owner_, lb, lb_stats_, weights);
 
   // Work redistribution: migrate particles to their new owners.
-  if (auditor_) auditor_->on_flagged(flagged_count());
-  const std::int64_t before = auditor_ ? total_particles() : 0;
-  exchange::ExchangeStats ex;
-  {
-    const obs::HostProfiler::Scope prof_ex(prof_, "exchange");
-    ex = exchange::exchange_particles(*rt_, phases::kRebalance, pcfg_.strategy,
-                                      stores_, removed_, new_owner);
-  }
-  if (auditor_)
-    auditor_->check_exchange(phases::kRebalance, before, ex.dropped,
-                             total_particles());
+  audited_exchange(phases::kRebalance, new_owner, /*neighbors=*/nullptr);
   owner_ = new_owner;
   rebuild_parallel_structures(phases::kRebalance, /*charge_costs=*/true);
 
   // The decomposition (and each rank's population) just changed: refresh
   // the cached prediction so the next measured window is paired with the
   // post-migration counts, not the stale pre-rebalance ones.
-  if (!prev_predicted_.empty()) {
-    for (int r = 0; r < pcfg_.nranks; ++r) {
-      const auto n_h = stores_[r].count_species(dsmc::kSpeciesH);
-      const auto n_hp = stores_[r].count_species(dsmc::kSpeciesHPlus);
-      prev_predicted_[r] =
-          static_cast<double>(n_h) + lb.weight_ratio * static_cast<double>(n_hp) +
-          lb.cell_weight * static_cast<double>(my_cells_[r].size());
-    }
-  }
+  if (!prev_predicted_.empty()) prev_predicted_ = predicted_rank_loads();
 
   const double rb_measured = std::max(
       0.0, rt_->phase_stats(phases::kRebalance).busy_max - rb_busy_before);
@@ -710,20 +654,7 @@ void CoupledSolver::resize_active(int target) {
   DSMCPIC_CHECK(target >= 1 && target <= pcfg_.nranks);
   const balance::RebalanceConfig& lb = pcfg_.balance;
 
-  // Per-cell particle counts for the weighted load model (Eq. 7).
-  std::vector<std::int64_t> neutrals(coarse_.num_tets(), 0);
-  std::vector<std::int64_t> charged(coarse_.num_tets(), 0);
-  for (int r = 0; r < pcfg_.nranks; ++r) {
-    const auto cells = stores_[r].cells();
-    const auto spec = stores_[r].species();
-    for (std::size_t i = 0; i < stores_[r].size(); ++i) {
-      if (removed_[r][i]) continue;
-      if (species_[spec[i]].charged())
-        ++charged[cells[i]];
-      else
-        ++neutrals[cells[i]];
-    }
-  }
+  const CellCounts counts = count_cell_particles();
 
   // Grow activates the new ranks BEFORE migration so they can receive;
   // shrink migrates first (everyone still dispatched) so the soon-parked
@@ -735,23 +666,14 @@ void CoupledSolver::resize_active(int target) {
   }
 
   const std::vector<std::int32_t> new_owner = balance::redecompose(
-      *rt_, phases::kRebalance, dual_, coarse_.centroids(), neutrals, charged,
-      owner_, lb, lb_stats_, /*cell_weights=*/{}, /*nparts=*/target);
+      *rt_, phases::kRebalance, dual_, coarse_.centroids(), counts.neutrals,
+      counts.charged, owner_, lb, lb_stats_, /*cell_weights=*/{},
+      /*nparts=*/target);
 
-  if (auditor_) auditor_->on_flagged(flagged_count());
-  const std::int64_t before = auditor_ ? total_particles() : 0;
-  exchange::ExchangeStats ex;
-  {
-    // Dense fallback even under Strategy::kNeighbor: a resize moves cells
-    // wholesale, so the steady-state partition adjacency says nothing about
-    // who talks to whom here.
-    const obs::HostProfiler::Scope prof_ex(prof_, "exchange");
-    ex = exchange::exchange_particles(*rt_, phases::kRebalance, pcfg_.strategy,
-                                      stores_, removed_, new_owner);
-  }
-  if (auditor_)
-    auditor_->check_exchange(phases::kRebalance, before, ex.dropped,
-                             total_particles());
+  // Dense fallback even under Strategy::kNeighbor: a resize moves cells
+  // wholesale, so the steady-state partition adjacency says nothing about
+  // who talks to whom here.
+  audited_exchange(phases::kRebalance, new_owner, /*neighbors=*/nullptr);
   owner_ = new_owner;
   if (!grow) {
     rt_->set_active_ranks(target);
@@ -761,93 +683,106 @@ void CoupledSolver::resize_active(int target) {
 
   // Same pairing rule as the rebalance path: the next measured window must
   // regress against post-migration populations.
-  if (!prev_predicted_.empty()) {
-    for (int r = 0; r < pcfg_.nranks; ++r) {
-      const auto n_h = stores_[r].count_species(dsmc::kSpeciesH);
-      const auto n_hp = stores_[r].count_species(dsmc::kSpeciesHPlus);
-      prev_predicted_[r] =
-          static_cast<double>(n_h) +
-          lb.weight_ratio * static_cast<double>(n_hp) +
-          lb.cell_weight * static_cast<double>(my_cells_[r].size());
-    }
-  }
+  if (!prev_predicted_.empty()) prev_predicted_ = predicted_rank_loads();
 }
 
-void CoupledSolver::record_trace_counters(const StepDiagnostics& diag) {
+CoupledSolver::BusyWindow CoupledSolver::busy_window() const {
+  // Particle-proportional phases only: Inject is deliberately excluded —
+  // its work is sharded evenly across ranks (round-robin), so including it
+  // would flatten the measured shares and make heavily loaded cells look
+  // cheaper than they are.
+  return {rt_->busy_all(),
+          rt_->busy_totals(std::array<std::string, 2>{phases::kDsmcExchange,
+                                                      phases::kPicExchange}),
+          rt_->busy_totals(std::array<std::string, 1>{phases::kPoissonSolve}),
+          rt_->busy_totals(std::array<std::string, 3>{
+              phases::kDsmcMove, phases::kColliReact, phases::kPicMove})};
+}
+
+CoupledSolver::CellCounts CoupledSolver::count_cell_particles() const {
+  CellCounts counts{std::vector<std::int64_t>(coarse_.num_tets(), 0),
+                    std::vector<std::int64_t>(coarse_.num_tets(), 0)};
+  for (int r = 0; r < pcfg_.nranks; ++r) {
+    const auto cells = stores_[r].cells();
+    const auto spec = stores_[r].species();
+    for (std::size_t i = 0; i < stores_[r].size(); ++i) {
+      if (removed_[r][i]) continue;
+      if (species_[spec[i]].charged())
+        ++counts.charged[cells[i]];
+      else
+        ++counts.neutrals[cells[i]];
+    }
+  }
+  return counts;
+}
+
+std::vector<double> CoupledSolver::predicted_rank_loads() const {
+  const balance::RebalanceConfig& lb = pcfg_.balance;
+  std::vector<double> predicted(pcfg_.nranks);
+  for (int r = 0; r < pcfg_.nranks; ++r) {
+    const auto n_h = stores_[r].count_species(dsmc::kSpeciesH);
+    const auto n_hp = stores_[r].count_species(dsmc::kSpeciesHPlus);
+    predicted[r] = static_cast<double>(n_h) +
+                   lb.weight_ratio * static_cast<double>(n_hp) +
+                   lb.cell_weight * static_cast<double>(my_cells_[r].size());
+  }
+  return predicted;
+}
+
+par::PhaseStats CoupledSolver::exchange_totals() const {
+  par::PhaseStats sum;
+  for (const char* phase :
+       {phases::kDsmcExchange, phases::kPicExchange, phases::kRebalance}) {
+    const par::PhaseStats ps = rt_->phase_stats(phase);
+    sum.bytes += ps.bytes;
+    sum.transactions += ps.transactions;
+  }
+  return sum;
+}
+
+void CoupledSolver::close_record(StepDiagnostics& rec) {
+  rec.particles_per_rank = particles_per_rank();
+  for (const auto& store : stores_) {
+    rec.total_h += store.count_species(dsmc::kSpeciesH);
+    rec.total_hplus += store.count_species(dsmc::kSpeciesHPlus);
+  }
+  rec.supersteps = rt_->supersteps();
+  rec.virtual_time = rt_->total_time();
+  rec.active_ranks = active_;
+  const par::PhaseStats exch = exchange_totals();
+  rec.exchange_bytes = exch.bytes - prev_exch_.bytes;
+  rec.exchange_messages = exch.transactions - prev_exch_.transactions;
+  prev_exch_ = exch;
+}
+
+void CoupledSolver::record_trace(const StepDiagnostics& rec) {
   trace::TraceRecorder* tr = rt_->tracer();
   if (!tr) return;
   trace::MetricsRegistry& m = tr->metrics();
-  const std::int64_t step = diag.dsmc_step;
+  const std::int64_t step = rec.dsmc_step;
   for (int r = 0; r < pcfg_.nranks; ++r) {
     m.add("particles_owned", step, r,
-          static_cast<double>(diag.particles_per_rank[r]), rt_->clock(r));
+          static_cast<double>(rec.particles_per_rank[r]), rt_->clock(r));
     m.add("cells_owned", step, r, static_cast<double>(my_cells_[r].size()),
           rt_->clock(r));
   }
-  const double t = rt_->total_time();
-  m.add("lii", step, -1, diag.lii, t);
-  m.add("migrated_dsmc", step, -1, static_cast<double>(diag.migrated_dsmc), t);
-  m.add("migrated_pic", step, -1, static_cast<double>(diag.migrated_pic), t);
-  const double exch_bytes = rt_->phase_stats(phases::kDsmcExchange).bytes +
-                            rt_->phase_stats(phases::kPicExchange).bytes +
-                            rt_->phase_stats(phases::kRebalance).bytes;
-  m.add("bytes_migrated", step, -1, exch_bytes - trace_prev_exch_bytes_, t);
-  trace_prev_exch_bytes_ = exch_bytes;
-  if (diag.rebalanced)
+  const double t = rec.virtual_time;
+  m.add("lii", step, -1, rec.lii, t);
+  m.add("migrated_dsmc", step, -1, static_cast<double>(rec.migrated_dsmc), t);
+  m.add("migrated_pic", step, -1, static_cast<double>(rec.migrated_pic), t);
+  m.add("bytes_migrated", step, -1, rec.exchange_bytes, t);
+  if (rec.rebalanced)
     tr->add_instant(-1, "rebalance @ step " + std::to_string(step), t);
 }
 
-void CoupledSolver::record_telemetry(const StepDiagnostics& diag) {
+void CoupledSolver::record_telemetry(StepDiagnostics& rec) {
   if (!telemetry_) return;
-  obs::TelemetrySample s;
-  s.step = diag.dsmc_step;
-  s.supersteps = rt_->supersteps();
-  s.virtual_time = rt_->total_time();
-  s.active_ranks = active_;
-
-  s.particles = total_particles();
-  s.total_h = diag.total_h;
-  s.total_hplus = diag.total_hplus;
-  s.injected = diag.injected;
-  s.migrated_dsmc = diag.migrated_dsmc;
-  s.migrated_pic = diag.migrated_pic;
-  s.collisions = diag.collisions;
-  s.ionizations = diag.ionizations;
-  s.recombinations = diag.recombinations;
-  s.exited_dsmc = diag.exited_dsmc;
-  s.exited_pic = diag.exited_pic;
-  s.pic_lost = diag.pic_lost;
-  s.particles_per_rank = diag.particles_per_rank;
-  s.lii = diag.lii;
-  s.rebalanced = diag.rebalanced;
-  s.poisson_iterations = diag.poisson_iterations;
-
-  for (const std::string& name : rt_->phases()) {
-    const par::PhaseStats ps = rt_->phase_stats(name);
-    obs::TelemetryPhase p;
-    p.name = name;
-    p.busy_max = ps.busy_max;
-    p.busy_min = ps.busy_min;
-    p.busy_sum = ps.busy_sum;
-    p.transactions = ps.transactions;
-    p.bytes = ps.bytes;
-    s.phases.push_back(std::move(p));
-  }
-  const double exch_bytes = rt_->phase_stats(phases::kDsmcExchange).bytes +
-                            rt_->phase_stats(phases::kPicExchange).bytes +
-                            rt_->phase_stats(phases::kRebalance).bytes;
-  const std::uint64_t exch_msgs =
-      rt_->phase_stats(phases::kDsmcExchange).transactions +
-      rt_->phase_stats(phases::kPicExchange).transactions +
-      rt_->phase_stats(phases::kRebalance).transactions;
-  s.exchange_bytes_delta = exch_bytes - telem_prev_exch_bytes_;
-  s.exchange_messages_delta = exch_msgs - telem_prev_exch_msgs_;
-  telem_prev_exch_bytes_ = exch_bytes;
-  telem_prev_exch_msgs_ = exch_msgs;
+  for (const std::string& name : rt_->phases())
+    rec.phases.push_back(phase_record(name, rt_->phase_stats(name)));
   const par::PoolStats pool = rt_->pool_stats();
-  s.pool_acquires = pool.acquires;
-  s.pool_misses = pool.misses;
-  s.pool_recycles = pool.recycles;
+  rec.pool_acquires = pool.acquires;
+  rec.pool_misses = pool.misses;
+  rec.pool_recycles = pool.recycles;
 
   double scale_min = 0.0, scale_max = 0.0, scale_sum = 0.0;
   for (int r = 0; r < active_; ++r) {
@@ -856,30 +791,18 @@ void CoupledSolver::record_telemetry(const StepDiagnostics& diag) {
     if (r == 0 || sc > scale_max) scale_max = sc;
     scale_sum += sc;
   }
-  s.cost_scale_min = scale_min;
-  s.cost_scale_max = scale_max;
-  s.cost_scale_mean = active_ > 0 ? scale_sum / active_ : 1.0;
+  rec.cost_scale_min = scale_min;
+  rec.cost_scale_max = scale_max;
+  rec.cost_scale_mean = active_ > 0 ? scale_sum / active_ : 1.0;
 
-  const std::vector<balance::PolicyDecision>& decisions = policy_.decisions();
-  for (auto it = decisions.rbegin();
-       it != decisions.rend() && it->step == diag.dsmc_step; ++it) {
-    obs::TelemetryDecision d;
-    d.step = it->step;
-    d.lii = it->lii;
-    d.imbalance_per_step = it->imbalance_per_step;
-    d.projected_imbalance_cost = it->projected_imbalance_cost;
-    d.rebalance_cost_estimate = it->rebalance_cost_estimate;
-    d.rebalance = it->rebalance;
-    s.decisions.push_back(d);
-  }
-  std::reverse(s.decisions.begin(), s.decisions.end());
+  for (const balance::PolicyDecision& d : policy_.decisions())
+    if (d.step == rec.dsmc_step) rec.decisions.push_back(decision_record(d));
 
   if (auditor_) {
-    s.audit_checks = auditor_->report().checks();
-    s.audit_violations = auditor_->report().violations();
+    rec.audit_checks = auditor_->report().checks();
+    rec.audit_violations = auditor_->report().violations();
   }
-
-  telemetry_->on_step(s);
+  telemetry_->on_step(rec);
 }
 
 StepDiagnostics CoupledSolver::step() {
@@ -924,12 +847,8 @@ StepDiagnostics CoupledSolver::step_impl() {
   for (const auto& store : stores_) sampler_.accumulate(store);
   maybe_rebalance(diag);
 
-  diag.particles_per_rank = particles_per_rank();
-  for (const auto& store : stores_) {
-    diag.total_h += store.count_species(dsmc::kSpeciesH);
-    diag.total_hplus += store.count_species(dsmc::kSpeciesHPlus);
-  }
-  record_trace_counters(diag);
+  close_record(diag);
+  record_trace(diag);
 
   if (auditor_) {
     auditor_->check_ownership(owner_, active_, my_cells_);
@@ -943,8 +862,8 @@ StepDiagnostics CoupledSolver::step_impl() {
   record_telemetry(diag);
 
   ++step_;
-  history_.push_back(diag);
-  return diag;
+  history_.push_back(std::move(diag));
+  return history_.back();
 }
 
 void CoupledSolver::run(int n) {

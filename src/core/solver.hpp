@@ -27,6 +27,7 @@
 #include "dsmc/sampling.hpp"
 #include "linalg/dist.hpp"
 #include "mesh/refine.hpp"
+#include "obs/step_record.hpp"
 #include "par/runtime.hpp"
 #include "pic/deposit.hpp"
 #include "pic/fine_grid.hpp"
@@ -42,25 +43,15 @@ class TelemetryHub;
 
 namespace dsmcpic::core {
 
-/// Per-DSMC-step diagnostics (drives Fig. 5 / Fig. 9-style outputs).
-struct StepDiagnostics {
-  int dsmc_step = 0;
-  std::vector<std::int64_t> particles_per_rank;
-  std::int64_t total_h = 0;
-  std::int64_t total_hplus = 0;
-  std::int64_t injected = 0;
-  std::int64_t migrated_dsmc = 0;
-  std::int64_t migrated_pic = 0;
-  std::int64_t collisions = 0;
-  std::int64_t ionizations = 0;
-  std::int64_t recombinations = 0;
-  std::int64_t exited_dsmc = 0;  // neutrals removed through inlet/outlet
-  std::int64_t exited_pic = 0;   // charged particles removed at boundaries
-  std::int64_t pic_lost = 0;     // charged particles the fine locate lost
-  int poisson_iterations = 0;  // last PIC substep
-  double lii = 0.0;            // load imbalance indicator this step
-  bool rebalanced = false;
-};
+/// Per-DSMC-step record (drives Fig. 5 / Fig. 9-style outputs and every
+/// observability sink; see obs/step_record.hpp).
+using StepDiagnostics = obs::StepRecord;
+
+/// The one copy of a runtime phase's accounting into the sinks' plain form.
+obs::PhaseRecord phase_record(const std::string& name,
+                              const par::PhaseStats& stats);
+/// The one copy of a policy decision into the sinks' plain form.
+obs::DecisionRecord decision_record(const balance::PolicyDecision& d);
 
 /// End-of-run accounting used by the bench harness.
 struct RunSummary {
@@ -178,22 +169,31 @@ class CoupledSolver {
   /// `phase` when charge_costs is true.
   void rebuild_parallel_structures(const std::string& phase, bool charge_costs);
 
-  /// Feeds the per-step counter registry of an attached trace recorder
+  /// Stage 1 of the step record, before the auditor closes the step: the
+  /// end-of-step ledger, clocks and this step's exchange deltas.
+  void close_record(StepDiagnostics& rec);
+  /// Migration bytes and messages routed so far (DSMC + PIC exchange and
+  /// rebalance migration); the step-boundary baseline is a copy of it.
+  par::PhaseStats exchange_totals() const;
+  /// Trace sink: feeds the attached recorder's per-step counters
   /// (particles/cells owned per rank, migration volume, lii) and marks
-  /// rebalance decisions as instant events. No-op without a recorder;
-  /// reads accounting state only, so it cannot perturb the run.
-  void record_trace_counters(const StepDiagnostics& diag);
-
-  /// Copies the step's deterministic accounting into a TelemetrySample and
-  /// feeds the attached hub. No-op without a hub; reads accounting state
-  /// only, so it cannot perturb the run.
-  void record_telemetry(const StepDiagnostics& diag);
+  /// rebalances as instant events. No-op without a recorder.
+  void record_trace(const StepDiagnostics& rec);
+  /// Stage 2 of the step record, after the auditor closed the step, and the
+  /// hub sink. No-op without a hub.
+  void record_telemetry(StepDiagnostics& rec);
   /// step() body; step() wraps it to dump the flight recorder on abort.
   StepDiagnostics step_impl();
 
   /// Number of removal-flagged particles across all ranks — the drop count
   /// the next exchange must produce. Audit-only read.
   std::int64_t flagged_count() const;
+
+  /// Routes every particle to `owner`'s rank under `phase`, with the
+  /// auditor's flagged/conservation books around it ("exchange" host scope).
+  exchange::ExchangeStats audited_exchange(
+      const char* phase, std::span<const std::int32_t> owner,
+      const std::vector<std::vector<int>>* neighbors);
 
   void do_inject(StepDiagnostics& diag);
   void do_dsmc_move(StepDiagnostics& diag);
@@ -208,6 +208,21 @@ class CoupledSolver {
   /// runtime's active rank set (grow activates before migration so new
   /// ranks can receive; shrink migrates first so parked ranks drain).
   void resize_active(int target);
+
+  /// Cumulative per-rank busy time at a step boundary: all phases, the
+  /// particle migration and Poisson components (the lii window) and the
+  /// particle-proportional phases (the cost model's window).
+  struct BusyWindow {
+    std::vector<double> total, pm, poi, particle;
+  };
+  BusyWindow busy_window() const;
+  /// Live neutral / charged particle counts per coarse cell (Eq. 7 inputs).
+  struct CellCounts {
+    std::vector<std::int64_t> neutrals, charged;
+  };
+  CellCounts count_cell_particles() const;
+  /// Static Eq.-7 predicted load per rank: N_r + R*C_r + W_cell * ncells_r.
+  std::vector<double> predicted_rank_loads() const;
 
   SolverConfig cfg_;
   ParallelConfig pcfg_;
@@ -259,9 +274,8 @@ class CoupledSolver {
 
   int step_ = 0;
   int steps_since_rebalance_ = 0;
-  double trace_prev_exch_bytes_ = 0.0;  // per-step migration-bytes delta
-  std::vector<double> prev_total_, prev_pm_, prev_poi_;  // lii window
-  std::vector<double> prev_particle_;  // particle-phase window (cost model)
+  par::PhaseStats prev_exch_;  // exchange_totals() at the last step boundary
+  BusyWindow prev_busy_;  // busy_window() at the last step boundary
   std::vector<double> prev_predicted_;  // last step's static wlm per rank
   balance::RebalanceStats lb_stats_;
   balance::CostModel cost_model_;
@@ -272,8 +286,6 @@ class CoupledSolver {
   obs::HealthAuditor* auditor_ = nullptr;  // not owned
   obs::HostProfiler* prof_ = nullptr;      // not owned
   obs::TelemetryHub* telemetry_ = nullptr;  // not owned
-  double telem_prev_exch_bytes_ = 0.0;  // telemetry's own migration deltas
-  std::uint64_t telem_prev_exch_msgs_ = 0;
   bool fault_fired_ = false;  // a fault-injection site was reached
 };
 

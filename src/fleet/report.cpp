@@ -34,30 +34,13 @@ void fill_run_report(obs::RunReport& rep, const core::CoupledSolver& solver,
   rep.ensemble.active_final = solver.active_ranks();
   rep.ensemble.resizes = solver.ensemble().resizes();
   rep.total_virtual_time = summary.total_time;
-  for (std::size_t i = 0; i < summary.phase_names.size(); ++i) {
-    const par::PhaseStats& st = summary.phase_stats[i];
-    rep.phases.push_back({summary.phase_names[i], st.busy_max, st.busy_min,
-                          st.busy_sum, st.transactions, st.bytes});
-  }
+  for (std::size_t i = 0; i < summary.phase_names.size(); ++i)
+    rep.phases.push_back(
+        core::phase_record(summary.phase_names[i], summary.phase_stats[i]));
   rep.steps.final_particles = summary.final_particles;
-  add_step_totals(rep.steps, history);
+  for (const core::StepDiagnostics& d : history) rep.steps.add(d);
   for (const balance::PolicyDecision& d : summary.decisions)
-    rep.rebalance_decisions.push_back({d.step, d.lii, d.imbalance_per_step,
-                                       d.projected_imbalance_cost,
-                                       d.rebalance_cost_estimate, d.rebalance});
-}
-
-void add_step_totals(obs::RunReportSteps& steps,
-                     std::span<const core::StepDiagnostics> history) {
-  for (const core::StepDiagnostics& d : history) {
-    steps.injected += d.injected;
-    steps.migrated_dsmc += d.migrated_dsmc;
-    steps.migrated_pic += d.migrated_pic;
-    steps.collisions += d.collisions;
-    steps.ionizations += d.ionizations;
-    steps.recombinations += d.recombinations;
-    steps.rebalances += d.rebalanced ? 1 : 0;
-  }
+    rep.rebalance_decisions.push_back(core::decision_record(d));
 }
 
 }  // namespace dsmcpic::fleet

@@ -37,9 +37,4 @@ void fill_run_report(obs::RunReport& rep, const core::CoupledSolver& solver,
                      std::span<const core::StepDiagnostics> history,
                      const ReportMeta& meta);
 
-/// Adds `history`'s per-step physics totals onto `steps` (final_particles
-/// untouched). The fleet runner uses this to carry totals across leases.
-void add_step_totals(obs::RunReportSteps& steps,
-                     std::span<const core::StepDiagnostics> history);
-
 }  // namespace dsmcpic::fleet

@@ -54,7 +54,7 @@ struct FleetRunner::JobState {
   int steps_done = 0;
   int leases = 0;
   RunDigest digest;                // streaming golden digest
-  obs::RunReportSteps carried;     // step totals of completed leases
+  obs::RunReportSteps carried;     // report totals of completed leases
   double wall_ms = 0.0;
 
   // Valid once state == kDone.
@@ -202,7 +202,7 @@ void FleetRunner::run_lease(JobState& js) {
   } else {
     DSMCPIC_CHECK_MSG(!js.dir.empty(),
                       "preempting a run requires a results dir");
-    add_step_totals(js.carried, solver.history());
+    for (const core::StepDiagnostics& d : solver.history()) js.carried.add(d);
     solver.save_checkpoint(js.dir + "/checkpoint.bin");
     write_sidecar(js);
     js.has_checkpoint = true;
@@ -240,10 +240,10 @@ void FleetRunner::finish_run(JobState& js, core::CoupledSolver& solver) {
   fill_run_report(rep, solver, summary, solver.history(), meta);
   obs::write_run_report_file(js.dir + "/run_report.json", rep);
 
-  std::ofstream os(js.dir + "/digest.txt", std::ios::binary | std::ios::trunc);
-  DSMCPIC_CHECK_MSG(os.good(), "cannot write " << js.dir << "/digest.txt");
-  os << hex_digest(js.final_digest) << " " << js.scenario->name
-     << " steps=" << js.steps_total << "\n";
+  io::atomic_write_file(js.dir + "/digest.txt",
+                        hex_digest(js.final_digest) + " " +
+                            js.scenario->name + " steps=" +
+                            std::to_string(js.steps_total) + "\n");
 
   // A completed run must not look resumable: drop the park-time sidecars.
   std::error_code ec;
@@ -400,7 +400,7 @@ void FleetRunner::write_fleet_summary(
   w.end_object();
   w.finish();
   os << "\n";
-  obs::atomic_write_file(opts_.results_dir + "/fleet_summary.json", os.str());
+  io::atomic_write_file(opts_.results_dir + "/fleet_summary.json", os.str());
 }
 
 void FleetRunner::write_fleet_metrics(
@@ -454,7 +454,7 @@ void FleetRunner::write_fleet_metrics(
   for (const FleetRunResult& r : results)
     os << "dsmcpic_fleet_run_virtual_seconds" << labels(r) << " "
        << trace::format_double(r.virtual_seconds) << "\n";
-  obs::atomic_write_file(opts_.results_dir + "/fleet_metrics.prom", os.str());
+  io::atomic_write_file(opts_.results_dir + "/fleet_metrics.prom", os.str());
 }
 
 }  // namespace dsmcpic::fleet

@@ -395,186 +395,4 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
   return res;
 }
 
-SolveResult dist_bicgstab(par::Runtime& rt, const std::string& phase,
-                          const DistMatrix& a, const DistVector& b,
-                          DistVector& x, const SolveOptions& opt) {
-  const DistLayout& l = a.layout;
-  const int nranks = l.nranks;
-  DSMCPIC_CHECK(rt.active_ranks() == nranks);
-
-  // Per-rank state: owned-sized r, r0, s, t, v, p; local-sized work vector
-  // for the two halo'd matvecs (its owned prefix carries M^-1 p / M^-1 s).
-  std::vector<std::vector<double>> rvec(nranks), r0vec(nranks), svec(nranks),
-      tvec(nranks), vvec(nranks), pvec(nranks), work(nranks), minv(nranks);
-  for (int r = 0; r < nranks; ++r) {
-    const auto n = l.owned[r].size();
-    DSMCPIC_CHECK(b[r].size() == n);
-    if (x[r].size() != n) x[r].assign(n, 0.0);
-    rvec[r].resize(n);
-    r0vec[r].resize(n);
-    svec[r].resize(n);
-    tvec[r].resize(n);
-    vvec[r].resize(n);
-    pvec[r].assign(n, 0.0);
-    work[r].assign(static_cast<std::size_t>(l.local_size(r)), 0.0);
-    minv[r].resize(n);
-    const auto diag = a.local[r].diagonal();
-    for (std::size_t i = 0; i < n; ++i)
-      minv[r][i] = (opt.jacobi_precondition && diag[i] != 0.0)
-                       ? 1.0 / diag[i]
-                       : 1.0;
-  }
-
-  auto send_halo = [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& plan : l.send_plan[r]) {
-      auto buf = c.acquire_payload(plan.idx.size() * sizeof(double));
-      auto* d = reinterpret_cast<double*>(buf.data());
-      for (std::size_t i = 0; i < plan.idx.size(); ++i)
-        d[i] = work[r][plan.idx[i]];
-      c.charge(par::WorkKind::kPackByte, static_cast<double>(buf.size()));
-      c.send_owned(plan.peer, 0, std::move(buf), par::CostClass::kGrid);
-    }
-  };
-  auto recv_halo = [&](par::Comm& c) {
-    const int r = c.rank();
-    const std::size_t nowned = l.owned[r].size();
-    for (const auto& msg : c.inbox()) {
-      const std::span<const double> buf = msg.view<double>();
-      const auto it = std::find_if(
-          l.recv_plan[r].begin(), l.recv_plan[r].end(),
-          [&msg](const DistLayout::Plan& p) { return p.peer == msg.src; });
-      DSMCPIC_CHECK(it != l.recv_plan[r].end() && buf.size() == it->idx.size());
-      for (std::size_t i = 0; i < buf.size(); ++i)
-        work[r][nowned + static_cast<std::size_t>(it->idx[i])] = buf[i];
-    }
-  };
-  // y[r] = A * (work's owned prefix as filled by fill_owned): two supersteps.
-  auto halo_matvec = [&](auto fill_owned, std::vector<std::vector<double>>& y) {
-    rt.superstep(phase, [&](par::Comm& c) {
-      const int r = c.rank();
-      fill_owned(r);
-      send_halo(c);
-    });
-    rt.superstep(phase, [&](par::Comm& c) {
-      const int r = c.rank();
-      recv_halo(c);
-      a.local[r].matvec(work[r], y[r]);
-      c.charge(par::WorkKind::kSpmvFlop,
-               2.0 * static_cast<double>(a.local[r].nnz()));
-    });
-  };
-
-  std::vector<std::vector<double>> partials(nranks, std::vector<double>(2, 0.0));
-  auto reduce2 = [&](auto fn) {
-    rt.superstep(phase, [&](par::Comm& c) {
-      const int r = c.rank();
-      fn(r, partials[r]);
-      c.charge(par::WorkKind::kVecFlop,
-               4.0 * static_cast<double>(l.owned[r].size()));
-    });
-    return rt.allreduce_sum_vec(phase, partials);
-  };
-
-  // r = b - A x; r0 = r.
-  halo_matvec(
-      [&](int r) { std::copy(x[r].begin(), x[r].end(), work[r].begin()); },
-      rvec);
-  auto sums = reduce2([&](int r, std::vector<double>& p) {
-    double rr = 0.0, bb = 0.0;
-    for (std::size_t i = 0; i < l.owned[r].size(); ++i) {
-      rvec[r][i] = b[r][i] - rvec[r][i];
-      r0vec[r][i] = rvec[r][i];
-      rr += rvec[r][i] * rvec[r][i];
-      bb += b[r][i] * b[r][i];
-    }
-    p[0] = rr;
-    p[1] = bb;
-  });
-  const double bnorm = std::sqrt(std::max(sums[1], 1e-300));
-  SolveResult res;
-  res.residual = std::sqrt(sums[0]) / bnorm;
-  if (res.residual <= opt.rel_tol) {
-    res.converged = true;
-    return res;
-  }
-
-  double rho = 1.0, alpha = 1.0, omega = 1.0;
-  for (int it = 0; it < opt.max_iterations; ++it) {
-    sums = reduce2([&](int r, std::vector<double>& p) {
-      double rho_new = 0.0;
-      for (std::size_t i = 0; i < l.owned[r].size(); ++i)
-        rho_new += r0vec[r][i] * rvec[r][i];
-      p[0] = rho_new;
-      p[1] = 0.0;
-    });
-    const double rho_new = sums[0];
-    if (rho_new == 0.0) break;
-    const double beta = (it == 0) ? 0.0 : (rho_new / rho) * (alpha / omega);
-    rho = rho_new;
-
-    // v = A M^-1 p, with p updated in the fill step.
-    halo_matvec(
-        [&](int r) {
-          for (std::size_t i = 0; i < l.owned[r].size(); ++i) {
-            pvec[r][i] =
-                (it == 0) ? rvec[r][i]
-                          : rvec[r][i] + beta * (pvec[r][i] - omega * vvec[r][i]);
-            work[r][i] = minv[r][i] * pvec[r][i];
-          }
-        },
-        vvec);
-    sums = reduce2([&](int r, std::vector<double>& p) {
-      double r0v = 0.0;
-      for (std::size_t i = 0; i < l.owned[r].size(); ++i)
-        r0v += r0vec[r][i] * vvec[r][i];
-      p[0] = r0v;
-      p[1] = 0.0;
-    });
-    if (sums[0] == 0.0) break;
-    alpha = rho / sums[0];
-
-    // s = r - alpha v; t = A M^-1 s.
-    halo_matvec(
-        [&](int r) {
-          for (std::size_t i = 0; i < l.owned[r].size(); ++i) {
-            svec[r][i] = rvec[r][i] - alpha * vvec[r][i];
-            work[r][i] = minv[r][i] * svec[r][i];
-          }
-        },
-        tvec);
-    sums = reduce2([&](int r, std::vector<double>& p) {
-      double ts = 0.0, tt = 0.0;
-      for (std::size_t i = 0; i < l.owned[r].size(); ++i) {
-        ts += tvec[r][i] * svec[r][i];
-        tt += tvec[r][i] * tvec[r][i];
-      }
-      p[0] = ts;
-      p[1] = tt;
-    });
-    if (sums[1] == 0.0) break;
-    omega = sums[0] / sums[1];
-
-    sums = reduce2([&](int r, std::vector<double>& p) {
-      double rr = 0.0;
-      for (std::size_t i = 0; i < l.owned[r].size(); ++i) {
-        x[r][i] += alpha * minv[r][i] * pvec[r][i] +
-                   omega * minv[r][i] * svec[r][i];
-        rvec[r][i] = svec[r][i] - omega * tvec[r][i];
-        rr += rvec[r][i] * rvec[r][i];
-      }
-      p[0] = rr;
-      p[1] = 0.0;
-    });
-    res.iterations = it + 1;
-    res.residual = std::sqrt(sums[0]) / bnorm;
-    if (res.residual <= opt.rel_tol) {
-      res.converged = true;
-      return res;
-    }
-    if (omega == 0.0) break;
-  }
-  return res;
-}
-
 }  // namespace dsmcpic::linalg

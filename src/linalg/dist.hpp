@@ -77,13 +77,6 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
                     const DistMatrix& a, const DistVector& b, DistVector& x,
                     const SolveOptions& opt = {});
 
-/// Distributed BiCGStab for general (nonsymmetric) systems — two halo'd
-/// matvecs and two allreduce rounds per iteration. Same layout/cost model
-/// as dist_cg.
-SolveResult dist_bicgstab(par::Runtime& rt, const std::string& phase,
-                          const DistMatrix& a, const DistVector& b,
-                          DistVector& x, const SolveOptions& opt = {});
-
 /// One halo exchange: ships owned values listed in send plans, fills halo
 /// slots. `local` holds per-rank vectors of local_size (owned then halo);
 /// the owned prefix must be filled on entry, the halo suffix is filled on

@@ -1,8 +1,7 @@
 #pragma once
-// Serial Krylov subspace solvers (the "KSP" substitute, Sec. IV-C). The
-// serial variants are the reference implementations used by the serial
-// solver driver and by tests; the distributed CG in dist.hpp runs the same
-// recurrence across virtual ranks.
+// Serial Krylov solver (the "KSP" substitute, Sec. IV-C). The serial CG is
+// the reference implementation the tests check the distributed CG in
+// dist.hpp against; dist_cg runs the same recurrence across virtual ranks.
 
 #include <span>
 
@@ -27,7 +26,6 @@ struct SolveOptions {
   int max_iterations = 1000;
   bool jacobi_precondition = true;  // serial solvers
   Precon dist_precon = Precon::kBlockSsor;  // distributed CG
-  int gmres_restart = 30;
   /// Keep the previous solution as the initial guess across solves. PETSc's
   /// KSP defaults to a zero initial guess — which is why the paper's
   /// Poisson_Solve pays the full iteration count every PIC step — so this
@@ -40,13 +38,5 @@ struct SolveOptions {
 /// solution on output.
 SolveResult cg(const CsrMatrix& a, std::span<const double> b,
                std::span<double> x, const SolveOptions& opt = {});
-
-/// BiCGStab for general nonsymmetric systems.
-SolveResult bicgstab(const CsrMatrix& a, std::span<const double> b,
-                     std::span<double> x, const SolveOptions& opt = {});
-
-/// Restarted GMRES(m).
-SolveResult gmres(const CsrMatrix& a, std::span<const double> b,
-                  std::span<double> x, const SolveOptions& opt = {});
 
 }  // namespace dsmcpic::linalg

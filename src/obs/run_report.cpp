@@ -1,9 +1,9 @@
 #include "obs/run_report.hpp"
 
-#include <fstream>
 #include <ostream>
+#include <sstream>
 
-#include "support/error.hpp"
+#include "support/serialize.hpp"
 #include "trace/json_writer.hpp"
 
 namespace dsmcpic::obs {
@@ -48,7 +48,7 @@ void write_run_report(std::ostream& os, const RunReport& report) {
   w.kv("total_seconds", report.total_virtual_time);
   w.key("phases");
   w.begin_array();
-  for (const RunReportPhase& p : report.phases) {
+  for (const PhaseRecord& p : report.phases) {
     w.begin_object();
     w.kv("phase", p.name);
     w.kv("busy_max", p.busy_max);
@@ -75,7 +75,7 @@ void write_run_report(std::ostream& os, const RunReport& report) {
 
   w.key("rebalance_decisions");
   w.begin_array();
-  for (const RunReportDecision& d : report.rebalance_decisions) {
+  for (const DecisionRecord& d : report.rebalance_decisions) {
     w.begin_object();
     w.kv("step", d.step);
     w.kv("lii", d.lii);
@@ -136,11 +136,9 @@ void write_run_report(std::ostream& os, const RunReport& report) {
 }
 
 void write_run_report_file(const std::string& path, const RunReport& report) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  DSMCPIC_CHECK_MSG(os.good(), "cannot open run report file " << path);
+  std::ostringstream os;
   write_run_report(os, report);
-  os.flush();
-  DSMCPIC_CHECK_MSG(os.good(), "failed writing run report file " << path);
+  io::atomic_write_file(path, os.str());
 }
 
 }  // namespace dsmcpic::obs

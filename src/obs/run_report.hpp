@@ -8,8 +8,8 @@
 // gates the kernel timings.
 //
 // The struct is plain values so this module stays below core in the layer
-// graph: the bench harness (or any caller) copies the numbers out of
-// core::RunSummary / StepDiagnostics and the runtime; obs never includes
+// graph: fleet::fill_run_report fills it from core::RunSummary and the
+// solver's per-step records (obs/step_record.hpp); obs never includes
 // core headers. Serialization uses trace::JsonWriter, so identical inputs
 // produce identical bytes (the host-profile milliseconds are wall-clock
 // and naturally vary; the document *structure* never does).
@@ -21,20 +21,11 @@
 
 #include "obs/health_auditor.hpp"
 #include "obs/host_profiler.hpp"
+#include "obs/step_record.hpp"
 
 namespace dsmcpic::obs {
 
 inline constexpr const char* kRunReportSchema = "dsmcpic.run_report.v1";
-
-/// Cumulative virtual-time accounting of one runtime phase.
-struct RunReportPhase {
-  std::string name;
-  double busy_max = 0.0;
-  double busy_min = 0.0;
-  double busy_sum = 0.0;
-  std::uint64_t transactions = 0;
-  double bytes = 0.0;
-};
 
 /// Echo of the case configuration (strings pre-rendered by the caller).
 struct RunReportConfig {
@@ -69,45 +60,31 @@ struct RunReportEnsemble {
   int resizes = 0;
 };
 
-/// One when-to-rebalance decision, copied out of the balancer's policy by
-/// the caller (plain values — obs stays below balance in the layer graph).
-struct RunReportDecision {
-  int step = 0;
-  double lii = 0.0;
-  double imbalance_per_step = 0.0;
-  double projected_imbalance_cost = 0.0;
-  double rebalance_cost_estimate = 0.0;
-  bool rebalance = false;
-};
-
-/// Whole-run physics totals (summed over steps unless noted).
-struct RunReportSteps {
+/// Whole-run physics totals: the per-step records summed through
+/// StepTotals::add, plus the particle count at the end of the run. The
+/// report prints final_particles and the injected..rebalances totals; the
+/// exit, loss and exchange totals are not part of the document.
+struct RunReportSteps : StepTotals {
   std::int64_t final_particles = 0;
-  std::int64_t injected = 0;
-  std::int64_t migrated_dsmc = 0;
-  std::int64_t migrated_pic = 0;
-  std::int64_t collisions = 0;
-  std::int64_t ionizations = 0;
-  std::int64_t recombinations = 0;
-  std::int64_t rebalances = 0;
 };
 
 struct RunReport {
   RunReportConfig config;
   RunReportEnsemble ensemble;
   double total_virtual_time = 0.0;
-  std::vector<RunReportPhase> phases;
+  std::vector<PhaseRecord> phases;
   RunReportSteps steps;
   /// Every policy decision made during the run (empty when balancing was
   /// off). Deterministic: virtual-time inputs only.
-  std::vector<RunReportDecision> rebalance_decisions;
+  std::vector<DecisionRecord> rebalance_decisions;
   /// Optional sections; null pointer renders as {"enabled": false}.
   const AuditReport* audit = nullptr;
   const HostProfiler* profiler = nullptr;
 };
 
 void write_run_report(std::ostream& os, const RunReport& report);
-/// Writes (overwrites) `path`; throws dsmcpic::Error on I/O failure.
+/// Writes (replaces) `path` atomically; throws dsmcpic::Error on I/O
+/// failure.
 void write_run_report_file(const std::string& path, const RunReport& report);
 
 }  // namespace dsmcpic::obs

@@ -1,12 +1,11 @@
 #include "obs/telemetry.hpp"
 
-#include <filesystem>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
 #include "obs/host_profiler.hpp"
 #include "support/error.hpp"
+#include "support/serialize.hpp"
 #include "trace/chrome_writer.hpp"  // format_double, escape_json
 #include "trace/json_writer.hpp"
 
@@ -106,9 +105,9 @@ void TelemetryHub::push_series(const std::string& name, std::int64_t step,
   it->second.push(step, value);
 }
 
-void TelemetryHub::on_step(const TelemetrySample& s) {
-  const std::int64_t step = s.step;
-  push_series("particles", step, static_cast<double>(s.particles));
+void TelemetryHub::on_step(const StepRecord& s) {
+  const std::int64_t step = s.dsmc_step;
+  push_series("particles", step, static_cast<double>(s.particles()));
   push_series("particles_h", step, static_cast<double>(s.total_h));
   push_series("particles_hplus", step, static_cast<double>(s.total_hplus));
   push_series("injected", step, static_cast<double>(s.injected));
@@ -123,9 +122,9 @@ void TelemetryHub::on_step(const TelemetrySample& s) {
               static_cast<double>(s.poisson_iterations));
   push_series("active_ranks", step, static_cast<double>(s.active_ranks));
   push_series("virtual_seconds", step, s.virtual_time);
-  push_series("exchange_bytes", step, s.exchange_bytes_delta);
+  push_series("exchange_bytes", step, s.exchange_bytes);
   push_series("exchange_messages", step,
-              static_cast<double>(s.exchange_messages_delta));
+              static_cast<double>(s.exchange_messages));
   push_series("pool_acquires", step, static_cast<double>(s.pool_acquires));
   push_series("pool_misses", step, static_cast<double>(s.pool_misses));
   push_series("pool_recycles", step, static_cast<double>(s.pool_recycles));
@@ -135,21 +134,11 @@ void TelemetryHub::on_step(const TelemetrySample& s) {
   push_series("audit_checks", step, static_cast<double>(s.audit_checks));
   push_series("audit_violations", step,
               static_cast<double>(s.audit_violations));
-  for (const TelemetryPhase& p : s.phases)
+  for (const PhaseRecord& p : s.phases)
     push_series("phase_busy_max/" + p.name, step, p.busy_max);
   if (prof_) push_series("host_ms", step, prof_->total_ms());
 
-  injected_total_ += s.injected;
-  migrated_dsmc_total_ += s.migrated_dsmc;
-  migrated_pic_total_ += s.migrated_pic;
-  collisions_total_ += s.collisions;
-  ionizations_total_ += s.ionizations;
-  recombinations_total_ += s.recombinations;
-  exited_total_ += s.exited_dsmc + s.exited_pic;
-  pic_lost_total_ += s.pic_lost;
-  rebalances_total_ += s.rebalanced ? 1 : 0;
-  exchange_bytes_total_ += s.exchange_bytes_delta;
-  exchange_messages_total_ += s.exchange_messages_delta;
+  totals_.add(s);
 
   flight_.push_back(s);
   while (static_cast<int>(flight_.size()) > cfg_.flight_recorder)
@@ -163,23 +152,23 @@ void TelemetryHub::publish() {
   if (!cfg_.metrics_prom_path.empty()) {
     std::ostringstream os;
     write_prometheus(os);
-    atomic_write_file(cfg_.metrics_prom_path, os.str());
+    io::atomic_write_file(cfg_.metrics_prom_path, os.str());
   }
   if (!cfg_.metrics_json_path.empty()) {
     std::ostringstream os;
     write_json_snapshot(os);
-    atomic_write_file(cfg_.metrics_json_path, os.str());
+    io::atomic_write_file(cfg_.metrics_json_path, os.str());
   }
   ++publishes_;
 }
 
 void TelemetryHub::write_prometheus(std::ostream& os) const {
-  const TelemetrySample* last = flight_.empty() ? nullptr : &flight_.back();
+  const StepRecord* last = flight_.empty() ? nullptr : &flight_.back();
   const std::string& run = cfg_.run_label;
 
   {
     PromFamily f(os, run, "dsmcpic_step", "gauge", "current DSMC step");
-    f.sample(last ? static_cast<double>(last->step) : 0.0);
+    f.sample(last ? static_cast<double>(last->dsmc_step) : 0.0);
   }
   {
     PromFamily f(os, run, "dsmcpic_supersteps_total", "counter",
@@ -199,7 +188,7 @@ void TelemetryHub::write_prometheus(std::ostream& os) const {
   {
     PromFamily f(os, run, "dsmcpic_particles", "gauge",
                  "particles alive across all ranks");
-    f.sample(last ? static_cast<double>(last->particles) : 0.0);
+    f.sample(last ? static_cast<double>(last->particles()) : 0.0);
   }
   {
     PromFamily f(os, run, "dsmcpic_particles_species", "gauge",
@@ -222,54 +211,54 @@ void TelemetryHub::write_prometheus(std::ostream& os) const {
   {
     PromFamily f(os, run, "dsmcpic_injected_total", "counter",
                  "particles injected");
-    f.sample(static_cast<double>(injected_total_));
+    f.sample(static_cast<double>(totals_.injected));
   }
   {
     PromFamily f(os, run, "dsmcpic_migrated_total", "counter",
                  "particles migrated between ranks, by exchange path");
-    f.sample(static_cast<double>(migrated_dsmc_total_),
+    f.sample(static_cast<double>(totals_.migrated_dsmc),
              label("path", "dsmc"));
-    f.sample(static_cast<double>(migrated_pic_total_), label("path", "pic"));
+    f.sample(static_cast<double>(totals_.migrated_pic), label("path", "pic"));
   }
   {
     PromFamily f(os, run, "dsmcpic_collisions_total", "counter",
                  "DSMC collisions");
-    f.sample(static_cast<double>(collisions_total_));
+    f.sample(static_cast<double>(totals_.collisions));
   }
   {
     PromFamily f(os, run, "dsmcpic_ionizations_total", "counter",
                  "ionization events");
-    f.sample(static_cast<double>(ionizations_total_));
+    f.sample(static_cast<double>(totals_.ionizations));
   }
   {
     PromFamily f(os, run, "dsmcpic_recombinations_total", "counter",
                  "recombination events");
-    f.sample(static_cast<double>(recombinations_total_));
+    f.sample(static_cast<double>(totals_.recombinations));
   }
   {
     PromFamily f(os, run, "dsmcpic_exited_total", "counter",
                  "particles removed at boundaries");
-    f.sample(static_cast<double>(exited_total_));
+    f.sample(static_cast<double>(totals_.exited));
   }
   {
     PromFamily f(os, run, "dsmcpic_pic_lost_total", "counter",
                  "charged particles the fine locate lost");
-    f.sample(static_cast<double>(pic_lost_total_));
+    f.sample(static_cast<double>(totals_.pic_lost));
   }
   {
     PromFamily f(os, run, "dsmcpic_rebalances_total", "counter",
                  "rebalance events");
-    f.sample(static_cast<double>(rebalances_total_));
+    f.sample(static_cast<double>(totals_.rebalances));
   }
   {
     PromFamily f(os, run, "dsmcpic_exchange_bytes_total", "counter",
                  "scaled payload bytes migrated");
-    f.sample(exchange_bytes_total_);
+    f.sample(totals_.exchange_bytes);
   }
   {
     PromFamily f(os, run, "dsmcpic_exchange_messages_total", "counter",
                  "point-to-point messages routed by the exchanges");
-    f.sample(static_cast<double>(exchange_messages_total_));
+    f.sample(static_cast<double>(totals_.exchange_messages));
   }
   {
     PromFamily f(os, run, "dsmcpic_pool_acquires_total", "counter",
@@ -306,15 +295,15 @@ void TelemetryHub::write_prometheus(std::ostream& os) const {
   if (last && !last->phases.empty()) {
     PromFamily busy(os, run, "dsmcpic_phase_busy_seconds", "counter",
                     "cumulative busy_max virtual seconds per runtime phase");
-    for (const TelemetryPhase& p : last->phases)
+    for (const PhaseRecord& p : last->phases)
       busy.sample(p.busy_max, label("phase", p.name));
     PromFamily bytes(os, run, "dsmcpic_phase_bytes_total", "counter",
                      "cumulative scaled payload bytes per runtime phase");
-    for (const TelemetryPhase& p : last->phases)
+    for (const PhaseRecord& p : last->phases)
       bytes.sample(p.bytes, label("phase", p.name));
     PromFamily msgs(os, run, "dsmcpic_phase_messages_total", "counter",
                     "cumulative messages routed per runtime phase");
-    for (const TelemetryPhase& p : last->phases)
+    for (const PhaseRecord& p : last->phases)
       msgs.sample(static_cast<double>(p.transactions),
                   label("phase", p.name));
   }
@@ -337,7 +326,7 @@ void TelemetryHub::write_prometheus(std::ostream& os) const {
 }
 
 void TelemetryHub::write_json_snapshot(std::ostream& os) const {
-  const TelemetrySample* last = flight_.empty() ? nullptr : &flight_.back();
+  const StepRecord* last = flight_.empty() ? nullptr : &flight_.back();
   trace::JsonWriter w(os);
   w.begin_object();
   w.kv("schema", kMetricsSchema);
@@ -348,27 +337,27 @@ void TelemetryHub::write_json_snapshot(std::ostream& os) const {
 
   w.key("gauges");
   w.begin_object();
-  w.kv("step", last ? last->step : 0);
+  w.kv("step", last ? last->dsmc_step : 0);
   w.kv("supersteps", last ? last->supersteps : 0);
   w.kv("virtual_seconds", last ? last->virtual_time : 0.0);
   w.kv("active_ranks", last ? last->active_ranks : 0);
-  w.kv("particles", last ? last->particles : 0);
+  w.kv("particles", last ? last->particles() : 0);
   w.kv("lii", last ? last->lii : 0.0);
   w.end_object();
 
   w.key("counters");
   w.begin_object();
-  w.kv("injected", injected_total_);
-  w.kv("migrated_dsmc", migrated_dsmc_total_);
-  w.kv("migrated_pic", migrated_pic_total_);
-  w.kv("collisions", collisions_total_);
-  w.kv("ionizations", ionizations_total_);
-  w.kv("recombinations", recombinations_total_);
-  w.kv("exited", exited_total_);
-  w.kv("pic_lost", pic_lost_total_);
-  w.kv("rebalances", rebalances_total_);
-  w.kv("exchange_bytes", exchange_bytes_total_);
-  w.kv("exchange_messages", exchange_messages_total_);
+  w.kv("injected", totals_.injected);
+  w.kv("migrated_dsmc", totals_.migrated_dsmc);
+  w.kv("migrated_pic", totals_.migrated_pic);
+  w.kv("collisions", totals_.collisions);
+  w.kv("ionizations", totals_.ionizations);
+  w.kv("recombinations", totals_.recombinations);
+  w.kv("exited", totals_.exited);
+  w.kv("pic_lost", totals_.pic_lost);
+  w.kv("rebalances", totals_.rebalances);
+  w.kv("exchange_bytes", totals_.exchange_bytes);
+  w.kv("exchange_messages", totals_.exchange_messages);
   w.end_object();
 
   w.key("series");
@@ -410,13 +399,13 @@ void TelemetryHub::write_postmortem(std::ostream& os,
   w.kv("samples_seen", samples_seen_);
   w.key("records");
   w.begin_array();
-  for (const TelemetrySample& s : flight_) {
+  for (const StepRecord& s : flight_) {
     w.begin_object();
-    w.kv("step", s.step);
+    w.kv("step", s.dsmc_step);
     w.kv("supersteps", s.supersteps);
     w.kv("virtual_seconds", s.virtual_time);
     w.kv("active_ranks", s.active_ranks);
-    w.kv("particles", s.particles);
+    w.kv("particles", s.particles());
     w.kv("particles_h", s.total_h);
     w.kv("particles_hplus", s.total_hplus);
     w.kv("injected", s.injected);
@@ -437,7 +426,7 @@ void TelemetryHub::write_postmortem(std::ostream& os,
     w.end_array();
     w.key("phases");
     w.begin_array();
-    for (const TelemetryPhase& p : s.phases) {
+    for (const PhaseRecord& p : s.phases) {
       w.begin_object();
       w.kv("phase", p.name);
       w.kv("busy_max", p.busy_max);
@@ -448,8 +437,8 @@ void TelemetryHub::write_postmortem(std::ostream& os,
       w.end_object();
     }
     w.end_array();
-    w.kv("exchange_bytes", s.exchange_bytes_delta);
-    w.kv("exchange_messages", s.exchange_messages_delta);
+    w.kv("exchange_bytes", s.exchange_bytes);
+    w.kv("exchange_messages", s.exchange_messages);
     w.key("cost_scale");
     w.begin_object();
     w.kv("min", s.cost_scale_min);
@@ -458,7 +447,7 @@ void TelemetryHub::write_postmortem(std::ostream& os,
     w.end_object();
     w.key("decisions");
     w.begin_array();
-    for (const TelemetryDecision& d : s.decisions) {
+    for (const DecisionRecord& d : s.decisions) {
       w.begin_object();
       w.kv("step", d.step);
       w.kv("lii", d.lii);
@@ -486,23 +475,8 @@ void TelemetryHub::dump_postmortem(const std::string& reason) {
   if (cfg_.postmortem_path.empty() || postmortem_written_) return;
   std::ostringstream os;
   write_postmortem(os, reason);
-  atomic_write_file(cfg_.postmortem_path, os.str());
+  io::atomic_write_file(cfg_.postmortem_path, os.str());
   postmortem_written_ = true;
-}
-
-void atomic_write_file(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    DSMCPIC_CHECK_MSG(os.good(), "cannot open " << tmp);
-    os << content;
-    os.flush();
-    DSMCPIC_CHECK_MSG(os.good(), "failed writing " << tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  DSMCPIC_CHECK_MSG(!ec, "cannot rename " << tmp << " -> " << path << ": "
-                                          << ec.message());
 }
 
 }  // namespace dsmcpic::obs

@@ -1,6 +1,7 @@
 #pragma once
 // Minimal binary (de)serialization helpers for checkpointing: PODs and
-// vectors of PODs on iostreams, with length prefixes and failure checks.
+// vectors of PODs on iostreams, with length prefixes and failure checks;
+// plus the one atomic whole-file writer every published document uses.
 
 #include <cstdint>
 #include <istream>
@@ -68,5 +69,10 @@ inline std::string read_string(std::istream& is) {
   }
   return s;
 }
+
+/// Writes `content` to "<path>.tmp" and renames it over `path` (POSIX
+/// rename is atomic within a filesystem), so a reader only ever sees the
+/// old or the new complete file. Throws dsmcpic::Error on I/O failure.
+void atomic_write_file(const std::string& path, const std::string& content);
 
 }  // namespace dsmcpic::io

@@ -48,28 +48,6 @@ TEST(Hungarian, MinAndMaxAreConsistent) {
   EXPECT_EQ(mx.row_to_col, mn.row_to_col);
 }
 
-TEST(Krylov, GmresRestartsOnLongRecurrences) {
-  // Force several restart cycles with a small restart length.
-  const std::int32_t n = 60;
-  std::vector<linalg::Triplet> t;
-  for (std::int32_t i = 0; i < n; ++i) {
-    t.push_back({i, i, 4.0});
-    if (i > 0) t.push_back({i, i - 1, -1.5});
-    if (i + 1 < n) t.push_back({i, i + 1, -1.0});
-  }
-  const auto a = linalg::CsrMatrix::from_triplets(n, n, t);
-  std::vector<double> x_true(n), b(n), x(n, 0.0);
-  Rng rng(8);
-  for (auto& v : x_true) v = rng.uniform(-1, 1);
-  a.matvec(x_true, b);
-  linalg::SolveOptions opt{.rel_tol = 1e-10, .max_iterations = 2000};
-  opt.gmres_restart = 5;
-  const auto r = linalg::gmres(a, b, x, opt);
-  ASSERT_TRUE(r.converged);
-  EXPECT_GT(r.iterations, 5);  // needed more than one cycle
-  for (std::int32_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-6);
-}
-
 TEST(DistLayout, ContiguousOwnershipHasThinHalo) {
   // Block ownership on a tridiagonal matrix: halos are exactly the two
   // boundary rows per interior rank.

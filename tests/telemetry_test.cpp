@@ -3,7 +3,9 @@
 // dumps (byte-identical across execution knobs, triggered by fault trips,
 // auditor aborts and fleet parks), the atomic Prometheus/JSON exposition,
 // and — the load-bearing claim — that attaching a TelemetryHub perturbs
-// neither solver digests nor run_report.json bytes.
+// neither solver digests nor run_report.json bytes. The StepRecord tests
+// hold every sink of the one per-step record to the solver's history,
+// including across a checkpoint restore.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +25,7 @@
 #include "obs/run_report.hpp"
 #include "obs/telemetry.hpp"
 #include "support/error.hpp"
+#include "trace/recorder.hpp"
 
 namespace dsmcpic::core {
 namespace {
@@ -276,6 +279,158 @@ TEST(Exposition, PublishesPromAndJsonAtomically) {
   const std::string json = slurp(tc.metrics_json_path);
   EXPECT_NE(json.find(obs::kMetricsSchema), std::string::npos);
   EXPECT_NE(json.find("\"series\""), std::string::npos);
+}
+
+// ---- one step record, every sink ---------------------------------------------
+
+ParallelConfig balanced_six_ranks() {
+  ParallelConfig par;
+  par.nranks = 6;
+  par.balance.enabled = true;
+  par.balance.period = 3;
+  return par;
+}
+
+/// Values of the trace counter `name`, in step order.
+std::vector<double> counter_values(const trace::TraceRecorder& rec,
+                                   const std::string& name) {
+  std::vector<double> out;
+  const trace::MetricsRegistry& m = rec.metrics();
+  for (const trace::CounterSample& c : m.samples())
+    if (m.name_of(c.key) == name) out.push_back(c.value);
+  return out;
+}
+
+/// The number after `"key": ` inside the JSON object that follows
+/// `"section": {` (flat sections only).
+double json_number(const std::string& doc, const std::string& section,
+                   const std::string& key) {
+  const std::size_t begin = doc.find("\"" + section + "\": {");
+  EXPECT_NE(begin, std::string::npos) << "no section " << section;
+  const std::size_t end = doc.find('}', begin);
+  const std::string needle = "\"" + key + "\": ";
+  const std::size_t at = doc.find(needle, begin);
+  EXPECT_LT(at, end) << "no key " << key << " in " << section;
+  return std::stod(doc.substr(at + needle.size()));
+}
+
+TEST(StepRecord, ExchangeDeltasAfterRestoreMatchUninterruptedRun) {
+  constexpr int kSaved = 4;  // steps run before the checkpoint
+  const std::string path =
+      ::testing::TempDir() + "step_record_restore.ckpt";
+
+  trace::TraceRecorder rec_full(6);
+  obs::TelemetryHub hub_full;
+  CoupledSolver full(tiny_config(), balanced_six_ranks());
+  full.runtime().set_tracer(&rec_full);
+  full.set_telemetry(&hub_full);
+  full.run(kSaved + 1);
+
+  CoupledSolver first(tiny_config(), balanced_six_ranks());
+  first.run(kSaved);
+  first.save_checkpoint(path);
+
+  trace::TraceRecorder rec_resumed(6);
+  obs::TelemetryHub hub_resumed;
+  CoupledSolver resumed(tiny_config(), balanced_six_ranks());
+  resumed.runtime().set_tracer(&rec_resumed);
+  resumed.set_telemetry(&hub_resumed);
+  resumed.restore_checkpoint(path);
+  resumed.step();
+  std::filesystem::remove(path);
+
+  // The steps before the checkpoint migrated something, so a baseline left
+  // at zero would report their bytes again.
+  double before = 0.0;
+  for (int i = 0; i < kSaved; ++i) before += full.history()[i].exchange_bytes;
+  ASSERT_GT(before, 0.0);
+
+  const StepDiagnostics& want = full.history()[kSaved];
+  const StepDiagnostics& got = resumed.history().front();
+  ASSERT_EQ(got.dsmc_step, want.dsmc_step);
+  EXPECT_EQ(got.exchange_bytes, want.exchange_bytes);
+  EXPECT_EQ(got.exchange_messages, want.exchange_messages);
+  EXPECT_EQ(hub_resumed.flight().back().exchange_bytes, want.exchange_bytes);
+  EXPECT_EQ(counter_values(rec_resumed, "bytes_migrated"),
+            std::vector<double>{counter_values(rec_full, "bytes_migrated")
+                                    .at(kSaved)});
+}
+
+TEST(StepRecord, TraceTelemetryAndReportAgreeWithHistory) {
+  obs::HealthAuditor auditor({obs::AuditSeverity::kCountOnly});
+  trace::TraceRecorder rec(6);
+  obs::TelemetryHub hub;
+  ParallelConfig par = balanced_six_ranks();
+  par.balance.threshold = 1.01;  // rebalance at every period boundary
+  CoupledSolver solver(tiny_config(), par);
+  solver.runtime().set_tracer(&rec);
+  solver.set_telemetry(&hub);
+  solver.set_auditor(&auditor);
+  solver.run(8);
+
+  // The sums of the records, field by field, without StepTotals::add.
+  std::int64_t injected = 0, migrated_dsmc = 0, migrated_pic = 0,
+               collisions = 0, ionizations = 0, recombinations = 0,
+               exited = 0, pic_lost = 0, rebalances = 0;
+  double exchange_bytes = 0.0;
+  std::uint64_t exchange_messages = 0;
+  for (const StepDiagnostics& d : solver.history()) {
+    injected += d.injected;
+    migrated_dsmc += d.migrated_dsmc;
+    migrated_pic += d.migrated_pic;
+    collisions += d.collisions;
+    ionizations += d.ionizations;
+    recombinations += d.recombinations;
+    exited += d.exited_dsmc + d.exited_pic;
+    pic_lost += d.pic_lost;
+    rebalances += d.rebalanced ? 1 : 0;
+    exchange_bytes += d.exchange_bytes;
+    exchange_messages += d.exchange_messages;
+  }
+  ASSERT_GT(rebalances, 0);
+  ASSERT_GT(exchange_bytes, 0.0);
+
+  obs::RunReport report;
+  fleet::ReportMeta meta;
+  meta.steps = 8;
+  fleet::fill_run_report(report, solver, solver.summary(), solver.history(),
+                         meta);
+  std::ostringstream report_os, hub_os;
+  obs::write_run_report(report_os, report);
+  hub.write_json_snapshot(hub_os);
+  const std::string doc = report_os.str();
+  const std::string snap = hub_os.str();
+
+  const std::pair<const char*, std::int64_t> ledger[] = {
+      {"injected", injected},           {"migrated_dsmc", migrated_dsmc},
+      {"migrated_pic", migrated_pic},   {"collisions", collisions},
+      {"ionizations", ionizations},     {"recombinations", recombinations},
+      {"rebalances", rebalances}};
+  for (const auto& [key, sum] : ledger) {
+    EXPECT_EQ(json_number(doc, "steps", key), static_cast<double>(sum)) << key;
+    EXPECT_EQ(json_number(snap, "counters", key), static_cast<double>(sum))
+        << key;
+  }
+  EXPECT_EQ(json_number(doc, "steps", "final_particles"),
+            static_cast<double>(solver.total_particles()));
+  EXPECT_EQ(json_number(snap, "counters", "exited"),
+            static_cast<double>(exited));
+  EXPECT_EQ(json_number(snap, "counters", "pic_lost"),
+            static_cast<double>(pic_lost));
+  EXPECT_EQ(json_number(snap, "counters", "exchange_bytes"), exchange_bytes);
+  EXPECT_EQ(json_number(snap, "counters", "exchange_messages"),
+            static_cast<double>(exchange_messages));
+
+  double traced_bytes = 0.0;
+  for (const double v : counter_values(rec, "bytes_migrated")) traced_bytes += v;
+  EXPECT_EQ(traced_bytes, json_number(snap, "counters", "exchange_bytes"));
+
+  // Stage 2 ran after the auditor closed each step: the last record
+  // carries the run's final audit tallies.
+  EXPECT_GT(auditor.report().checks(), 0);
+  EXPECT_EQ(hub.flight().back().audit_checks, auditor.report().checks());
+  EXPECT_EQ(hub.flight().back().audit_violations,
+            auditor.report().violations());
 }
 
 // ---- fleet integration ------------------------------------------------------
