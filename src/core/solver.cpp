@@ -176,11 +176,17 @@ void CoupledSolver::rebuild_parallel_structures(const std::string& phase,
   // Warm-start potential from the driver-side mirror.
   x_.assign(active, {});
   phi_local_.assign(active, {});
+  owned_node_li_.assign(active, {});
   for (int r = 0; r < active; ++r) {
     const auto& owned = dmat_.layout.owned[r];
     x_[r].resize(owned.size());
-    for (std::size_t i = 0; i < owned.size(); ++i)
+    owned_node_li_[r].resize(owned.size());
+    for (std::size_t i = 0; i < owned.size(); ++i) {
       x_[r][i] = phi_global_[owned[i]];
+      const std::int32_t li = nodex_->local_index(r, owned[i]);
+      DSMCPIC_CHECK(li >= 0);
+      owned_node_li_[r][i] = li;
+    }
     const auto& nodes = nodex_->rank_nodes(r);
     phi_local_[r].resize(nodes.size());
     for (std::size_t i = 0; i < nodes.size(); ++i)
@@ -481,12 +487,10 @@ void CoupledSolver::do_poisson_solve(StepDiagnostics& diag) {
   rt_->superstep(phase, [&](par::Comm& c) {
     const int r = c.rank();
     const auto& owned = dmat_.layout.owned[r];
+    const auto& li = owned_node_li_[r];
     b[r].resize(owned.size());
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      const std::int32_t li = nodex_->local_index(r, owned[i]);
-      DSMCPIC_CHECK(li >= 0);
-      b[r][i] = psys_->rhs_at(owned[i], node_charge[r][li]);
-    }
+    for (std::size_t i = 0; i < owned.size(); ++i)
+      b[r][i] = psys_->rhs_at(owned[i], node_charge[r][li[i]]);
     c.charge(par::WorkKind::kVecFlop, static_cast<double>(owned.size()));
   });
 
@@ -512,11 +516,8 @@ void CoupledSolver::do_poisson_solve(StepDiagnostics& diag) {
   }
   rt_->superstep(phase, [&](par::Comm& c) {
     const int r = c.rank();
-    const auto& owned = dmat_.layout.owned[r];
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      const std::int32_t li = nodex_->local_index(r, owned[i]);
-      phi_local_[r][li] = x_[r][i];
-    }
+    const auto& li = owned_node_li_[r];
+    for (std::size_t i = 0; i < li.size(); ++i) phi_local_[r][li[i]] = x_[r][i];
   });
   nodex_->broadcast_from_owners(*rt_, phase, phi_local_);
 }

@@ -266,6 +266,8 @@ class CoupledSolver {
   std::unique_ptr<pic::PoissonSystem> psys_;
   std::unique_ptr<pic::NodeExchange> nodex_;
   linalg::DistMatrix dmat_;
+  // Per rank: NodeExchange local index of each owned Poisson row.
+  std::vector<std::vector<std::int32_t>> owned_node_li_;
   linalg::DistVector x_;                        // per-rank owned phi (warm)
   std::vector<std::vector<double>> phi_local_;  // per-rank, rank_nodes order
   std::vector<double> phi_global_;              // driver-side mirror

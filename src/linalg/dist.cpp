@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
-#include <unordered_map>
 
 #include "support/error.hpp"
 
@@ -92,24 +92,61 @@ DistMatrix DistMatrix::build(const CsrMatrix& a, DistLayout layout) {
   dm.layout = std::move(layout);
   const DistLayout& l = dm.layout;
   dm.local.resize(l.nranks);
+  dm.split.resize(l.nranks);
   const auto& rp = a.row_ptr();
   const auto& ci = a.col_idx();
   const auto& vals = a.values();
   for (int r = 0; r < l.nranks; ++r) {
+    const auto nowned = static_cast<std::int32_t>(l.owned[r].size());
+    auto& split = dm.split[r];
+    split.resize(static_cast<std::size_t>(nowned));
     std::vector<Triplet> trips;
-    for (std::size_t row = 0; row < l.owned[r].size(); ++row) {
-      const std::int32_t g = l.owned[r][row];
+    for (std::int32_t row = 0; row < nowned; ++row) {
+      const std::int32_t g = l.owned[r][static_cast<std::size_t>(row)];
       for (std::int64_t e = rp[g]; e < rp[g + 1]; ++e) {
         const std::int32_t c = ci[static_cast<std::size_t>(e)];
         const std::int32_t lc = l.local_index(r, c);
         DSMCPIC_CHECK_MSG(lc >= 0, "column " << c << " missing from rank " << r
                                              << " local numbering");
-        trips.push_back({static_cast<std::int32_t>(row), lc,
-                         vals[static_cast<std::size_t>(e)]});
+        DSMCPIC_CHECK_MSG((lc < nowned) == (l.owner[c] == r),
+                          "rank " << r << " local numbering must put owned "
+                                     "columns before halo ones");
+        trips.push_back({row, lc, vals[static_cast<std::size_t>(e)]});
       }
     }
-    dm.local[r] = CsrMatrix::from_triplets(
-        static_cast<std::int32_t>(l.owned[r].size()), l.local_size(r), trips);
+    dm.local[r] = CsrMatrix::from_triplets(nowned, l.local_size(r), trips);
+    DSMCPIC_CHECK_MSG(
+        dm.local[r].nnz() <= std::numeric_limits<std::int32_t>::max(),
+        "rank " << r << " block has too many entries");
+
+    // Row splits. The sweeps in dist_cg rely on from_triplets sorting each
+    // row by column (checked here) and on owned columns preceding halo ones
+    // (checked above).
+    const auto& lrp = dm.local[r].row_ptr();
+    const auto& lci = dm.local[r].col_idx();
+    const auto& lv = dm.local[r].values();
+    for (std::int32_t i = 0; i < nowned; ++i) {
+      std::int64_t e = lrp[i];
+      const std::int64_t end = lrp[i + 1];
+      for (std::int64_t f = e + 1; f < end; ++f)
+        DSMCPIC_CHECK_MSG(lci[static_cast<std::size_t>(f - 1)] <
+                              lci[static_cast<std::size_t>(f)],
+                          "rank " << r << " local row " << i
+                                  << " is not sorted by column");
+      // Advances e to the row's first entry whose column is >= col.
+      auto skip_below = [&](std::int32_t col) {
+        while (e < end && lci[static_cast<std::size_t>(e)] < col) ++e;
+        return static_cast<std::int32_t>(e);
+      };
+      RowSplit& s = split[static_cast<std::size_t>(i)];
+      s.dpos = skip_below(i);
+      s.upos = skip_below(i + 1);
+      s.hpos = skip_below(nowned);
+      const double d =
+          s.dpos < s.upos ? lv[static_cast<std::size_t>(s.dpos)] : 0.0;
+      s.diag = (d == 0.0) ? 1.0 : d;
+      s.inv_diag = 1.0 / s.diag;
+    }
   }
   return dm;
 }
@@ -135,84 +172,88 @@ std::vector<double> gather_vector(const DistLayout& layout, const DistVector& v)
   return out;
 }
 
-void halo_exchange(par::Runtime& rt, const std::string& phase,
-                   const DistLayout& layout,
-                   std::vector<std::vector<double>>& local) {
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& plan : layout.send_plan[r]) {
-      auto buf = c.acquire_payload(plan.idx.size() * sizeof(double));
-      auto* d = reinterpret_cast<double*>(buf.data());
-      for (std::size_t i = 0; i < plan.idx.size(); ++i)
-        d[i] = local[r][plan.idx[i]];
-      c.charge(par::WorkKind::kPackByte, static_cast<double>(buf.size()));
-      c.send_owned(plan.peer, /*tag=*/0, std::move(buf),
-                   par::CostClass::kGrid);
-    }
-  });
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    const std::size_t nowned = layout.owned[r].size();
-    for (const auto& msg : c.inbox()) {
-      const std::span<const double> buf = msg.view<double>();
-      const auto it = std::find_if(
-          layout.recv_plan[r].begin(), layout.recv_plan[r].end(),
-          [&msg](const DistLayout::Plan& p) { return p.peer == msg.src; });
-      DSMCPIC_CHECK_MSG(it != layout.recv_plan[r].end(),
-                        "unexpected halo message from rank " << msg.src);
-      DSMCPIC_CHECK(buf.size() == it->idx.size());
-      for (std::size_t i = 0; i < buf.size(); ++i)
-        local[r][nowned + static_cast<std::size_t>(it->idx[i])] = buf[i];
-    }
-  });
+namespace {
+
+/// Ships v's owned entries listed in this rank's send plans, one message
+/// per peer.
+void send_halo(par::Comm& c, const DistLayout& l, std::span<const double> v) {
+  for (const auto& plan : l.send_plan[c.rank()]) {
+    auto buf = c.acquire_payload(plan.idx.size() * sizeof(double));
+    auto* d = reinterpret_cast<double*>(buf.data());
+    for (std::size_t i = 0; i < plan.idx.size(); ++i) d[i] = v[plan.idx[i]];
+    c.charge(par::WorkKind::kPackByte, static_cast<double>(buf.size()));
+    c.send_owned(plan.peer, /*tag=*/0, std::move(buf), par::CostClass::kGrid);
+  }
 }
 
-namespace {
+/// Fills v's halo suffix from this superstep's inbox. The inbox is sorted by
+/// source rank, like recv_plan, so message k fills recv_plan slot k.
+void recv_halo(const par::Comm& c, const DistLayout& l, std::span<double> v) {
+  const int r = c.rank();
+  const auto& plans = l.recv_plan[r];
+  const auto& inbox = c.inbox();
+  double* halo = v.data() + l.owned[r].size();
+  for (std::size_t k = 0; k < inbox.size(); ++k) {
+    const par::Message& msg = inbox[k];
+    DSMCPIC_CHECK_MSG(k < plans.size() && plans[k].peer == msg.src,
+                      "unexpected halo message from rank " << msg.src);
+    const std::span<const double> buf = msg.view<double>();
+    const auto& idx = plans[k].idx;
+    DSMCPIC_CHECK(buf.size() == idx.size());
+    for (std::size_t i = 0; i < buf.size(); ++i) halo[idx[i]] = buf[i];
+  }
+}
 
 /// Applies the local preconditioner z = M^-1 r on one rank's owned block.
 /// For kBlockSsor: M = (D+L) D^-1 (D+U) restricted to owned columns (block
-/// Jacobi across ranks); SPD, so CG-safe. `diag`/`inv_diag` are the owned
-/// rows' diagonal and its inverse; `scratch` must be owned-sized.
-void apply_precon_local(const CsrMatrix& a, std::size_t nowned,
-                        Precon kind, std::span<const double> diag,
-                        std::span<const double> inv_diag,
-                        std::span<const double> r, std::span<double> z,
-                        std::vector<double>& scratch) {
+/// Jacobi across ranks); SPD, so CG-safe. Each sweep visits only the entries
+/// it uses, via the row splits; `u` is owned-sized scratch.
+void apply_precon_local(const CsrMatrix& a,
+                        std::span<const DistMatrix::RowSplit> split,
+                        Precon kind, std::span<const double> r,
+                        std::span<double> z, std::span<double> u) {
+  const std::size_t nowned = split.size();
   switch (kind) {
     case Precon::kNone:
       for (std::size_t i = 0; i < nowned; ++i) z[i] = r[i];
       return;
     case Precon::kJacobi:
-      for (std::size_t i = 0; i < nowned; ++i) z[i] = inv_diag[i] * r[i];
+      for (std::size_t i = 0; i < nowned; ++i) z[i] = split[i].inv_diag * r[i];
       return;
     case Precon::kBlockSsor:
       break;
   }
-  const auto& rp = a.row_ptr();
-  const auto& ci = a.col_idx();
-  const auto& vals = a.values();
-  auto& u = scratch;
-  // Forward solve (D+L) u = r over owned columns only.
+  const std::int64_t* rp = a.row_ptr().data();
+  const std::int32_t* ci = a.col_idx().data();
+  const double* vals = a.values().data();
+  // Forward solve (D+L) u = r over strictly-lower owned entries.
   for (std::size_t i = 0; i < nowned; ++i) {
-    double s = r[i];
-    for (std::int64_t e = rp[i]; e < rp[i + 1]; ++e) {
-      const auto j = static_cast<std::size_t>(ci[static_cast<std::size_t>(e)]);
-      if (j < i) s -= vals[static_cast<std::size_t>(e)] * u[j];
-    }
-    u[i] = s * inv_diag[i];
+    const DistMatrix::RowSplit& s = split[i];
+    double sum = r[i];
+    for (std::int64_t e = rp[i]; e < s.dpos; ++e) sum -= vals[e] * u[ci[e]];
+    u[i] = sum * s.inv_diag;
   }
-  // Backward solve (D+U) z = D u over owned columns only.
-  for (std::size_t ii = nowned; ii-- > 0;) {
-    double s = diag[ii] * u[ii];
-    for (std::int64_t e = rp[ii]; e < rp[ii + 1]; ++e) {
-      const auto j = static_cast<std::size_t>(ci[static_cast<std::size_t>(e)]);
-      if (j > ii && j < nowned) s -= vals[static_cast<std::size_t>(e)] * z[j];
-    }
-    z[ii] = s * inv_diag[ii];
+  // Backward solve (D+U) z = D u over strictly-upper owned entries.
+  for (std::size_t i = nowned; i-- > 0;) {
+    const DistMatrix::RowSplit& s = split[i];
+    double sum = s.diag * u[i];
+    for (std::int64_t e = s.upos; e < s.hpos; ++e) sum -= vals[e] * z[ci[e]];
+    z[i] = sum * s.inv_diag;
   }
 }
 
 }  // namespace
+
+void halo_exchange(par::Runtime& rt, const std::string& phase,
+                   const DistLayout& layout,
+                   std::vector<std::vector<double>>& local) {
+  rt.superstep(phase, [&](par::Comm& c) {
+    send_halo(c, layout, local[c.rank()]);
+  });
+  rt.superstep(phase, [&](par::Comm& c) {
+    recv_halo(c, layout, local[c.rank()]);
+  });
+}
 
 SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
                     const DistMatrix& a, const DistVector& b, DistVector& x,
@@ -223,7 +264,8 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
 
   // Per-rank state: owned-sized r, z, q, x; local-sized p (owned + halo).
   std::vector<std::vector<double>> rvec(nranks), zvec(nranks), qvec(nranks),
-      pvec(nranks), minv(nranks), diag(nranks), scratch(nranks);
+      pvec(nranks), scratch(nranks);
+  DSMCPIC_CHECK(static_cast<int>(a.split.size()) == nranks);
   for (int r = 0; r < nranks; ++r) {
     const auto n = l.owned[r].size();
     DSMCPIC_CHECK(b[r].size() == n);
@@ -233,64 +275,28 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
     qvec[r].resize(n);
     scratch[r].resize(n);
     pvec[r].assign(static_cast<std::size_t>(l.local_size(r)), 0.0);
-    minv[r].resize(n);
-    diag[r] = a.local[r].diagonal();
-    for (std::size_t i = 0; i < n; ++i) {
-      // Local row diag is complete (diagonal entries live on the owner).
-      const double d = diag[r][i];
-      if (d == 0.0) diag[r][i] = 1.0;
-      minv[r][i] = 1.0 / diag[r][i];
-    }
   }
   const double precon_flops =
       (opt.dist_precon == Precon::kBlockSsor) ? 4.0 : 1.0;
   auto precondition = [&](int r) {
-    apply_precon_local(a.local[r], l.owned[r].size(), opt.dist_precon,
-                       diag[r], minv[r], rvec[r], zvec[r], scratch[r]);
+    apply_precon_local(a.local[r], a.split[r], opt.dist_precon, rvec[r],
+                       zvec[r], scratch[r]);
   };
 
   std::vector<std::vector<double>> partials(nranks, std::vector<double>(2, 0.0));
 
-  // Inlined halo send/recv over pvec: the send piggybacks on whichever
-  // superstep produced the new p (one superstep saved per CG iteration —
-  // the runtime's closure dispatch is the simulator's hot path at 1536
-  // virtual ranks).
-  auto send_halo = [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& plan : l.send_plan[r]) {
-      auto buf = c.acquire_payload(plan.idx.size() * sizeof(double));
-      auto* d = reinterpret_cast<double*>(buf.data());
-      for (std::size_t i = 0; i < plan.idx.size(); ++i)
-        d[i] = pvec[r][plan.idx[i]];
-      c.charge(par::WorkKind::kPackByte, static_cast<double>(buf.size()));
-      c.send_owned(plan.peer, 0, std::move(buf), par::CostClass::kGrid);
-    }
-  };
-  auto recv_halo = [&](par::Comm& c) {
-    const int r = c.rank();
-    const std::size_t nowned = l.owned[r].size();
-    for (const auto& msg : c.inbox()) {
-      const std::span<const double> buf = msg.view<double>();
-      const auto it = std::find_if(
-          l.recv_plan[r].begin(), l.recv_plan[r].end(),
-          [&msg](const DistLayout::Plan& p) { return p.peer == msg.src; });
-      DSMCPIC_CHECK_MSG(it != l.recv_plan[r].end(),
-                        "unexpected halo message from rank " << msg.src);
-      DSMCPIC_CHECK(buf.size() == it->idx.size());
-      for (std::size_t i = 0; i < buf.size(); ++i)
-        pvec[r][nowned + static_cast<std::size_t>(it->idx[i])] = buf[i];
-    }
-  };
+  // The halo send of p piggybacks on whichever superstep produced the new p
+  // (one superstep saved per CG iteration).
 
   // r = b - A x  (x is the warm start): needs one halo exchange of x.
   rt.superstep(phase, [&](par::Comm& c) {
     const int r = c.rank();
     std::copy(x[r].begin(), x[r].end(), pvec[r].begin());
-    send_halo(c);
+    send_halo(c, l, pvec[r]);
   });
   rt.superstep(phase, [&](par::Comm& c) {
     const int r = c.rank();
-    recv_halo(c);
+    recv_halo(c, l, pvec[r]);
     const auto n = l.owned[r].size();
     a.local[r].matvec(pvec[r], rvec[r]);
     c.charge(par::WorkKind::kSpmvFlop, 2.0 * static_cast<double>(a.local[r].nnz()));
@@ -315,7 +321,7 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
   rt.superstep(phase, [&](par::Comm& c) {
     const int r = c.rank();
     std::copy(zvec[r].begin(), zvec[r].end(), pvec[r].begin());
-    send_halo(c);
+    send_halo(c, l, pvec[r]);
   });
 
   SolveResult res;
@@ -339,7 +345,7 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
   for (int it = 0; it < opt.max_iterations; ++it) {
     rt.superstep(phase, [&](par::Comm& c) {
       const int r = c.rank();
-      recv_halo(c);
+      recv_halo(c, l, pvec[r]);
       a.local[r].matvec(pvec[r], qvec[r]);
       c.charge(par::WorkKind::kSpmvFlop,
                2.0 * static_cast<double>(a.local[r].nnz()));
@@ -389,7 +395,7 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
       for (std::size_t i = 0; i < n; ++i)
         pvec[r][i] = zvec[r][i] + beta * pvec[r][i];
       c.charge(par::WorkKind::kVecFlop, 2.0 * static_cast<double>(n));
-      send_halo(c);
+      send_halo(c, l, pvec[r]);
     });
   }
   return res;

@@ -35,6 +35,9 @@ struct DistLayout {
   // needs; ordered to match the peer's recv_plan entry for r.
   std::vector<std::vector<Plan>> send_plan;
   // recv_plan[r]: for each peer, indices into halo[r] filled by that peer.
+  // Both plan lists are sorted by peer, and each exchange sends exactly one
+  // message per send-plan entry. The runtime delivers an inbox sorted by
+  // source rank, so the k-th halo message on rank r fills recv_plan[r][k].
   std::vector<std::vector<Plan>> recv_plan;
 
   /// Derives the layout from a row->rank map and the sparsity pattern of the
@@ -59,6 +62,19 @@ struct DistLayout {
 struct DistMatrix {
   DistLayout layout;
   std::vector<CsrMatrix> local;  // per rank: rows = #owned, cols = local_size
+
+  /// Invariants of one owned row of a rank's block, computed once per
+  /// layout. Local rows are sorted by column and owned columns (< #owned)
+  /// precede halo ones, so row i splits into strictly-lower owned entries
+  /// [row_ptr[i], dpos), the diagonal [dpos, upos) (empty when not stored),
+  /// strictly-upper owned entries [upos, hpos) and halo entries
+  /// [hpos, row_ptr[i+1]).
+  struct RowSplit {
+    std::int32_t dpos = 0, upos = 0, hpos = 0;  // positions in local[r]
+    double diag = 1.0;      // stored diagonal, 0 replaced by 1
+    double inv_diag = 1.0;  // 1 / diag
+  };
+  std::vector<std::vector<RowSplit>> split;  // per rank, per owned row
 
   static DistMatrix build(const CsrMatrix& a, DistLayout layout);
 };

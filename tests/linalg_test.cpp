@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "linalg/csr.hpp"
 #include "linalg/dist.hpp"
 #include "linalg/krylov.hpp"
+#include "mesh/nozzle.hpp"
+#include "mesh/refine.hpp"
 #include "par/machine.hpp"
 #include "par/runtime.hpp"
+#include "pic/poisson.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace dsmcpic::linalg {
@@ -147,6 +152,26 @@ TEST(Dist, HaloExchangeFillsGhosts) {
                        static_cast<double>(l.halo[r][h]));
 }
 
+TEST(Dist, HaloExchangeRejectsMismatchedMessages) {
+  const std::int32_t n = 12;
+  const CsrMatrix a = laplace_1d(n);
+  const auto owner = round_robin_owner(n, 3);
+  const DistLayout good = DistLayout::build(3, owner, a);
+  auto exchange = [&](const DistLayout& l) {
+    par::Runtime rt(3, par::Topology(par::MachineProfile::tianhe2(), 3));
+    std::vector<std::vector<double>> local(3);
+    for (int r = 0; r < 3; ++r) local[r].assign(l.local_size(r), 0.0);
+    halo_exchange(rt, "halo", l, local);
+  };
+  EXPECT_NO_THROW(exchange(good));
+  DistLayout wrong_peer = good;
+  wrong_peer.recv_plan[0][0].peer = 0;  // rank 0 never sends to itself
+  EXPECT_THROW(exchange(wrong_peer), Error);
+  DistLayout wrong_size = good;
+  wrong_size.recv_plan[1][0].idx.pop_back();
+  EXPECT_THROW(exchange(wrong_size), Error);
+}
+
 /// Distributed CG must match the serial solution for any rank count.
 class DistCgTest : public ::testing::TestWithParam<int> {};
 
@@ -232,6 +257,134 @@ TEST(Dist, SsorBeatsJacobiOnOneRank) {
   // (On 1-D Laplace the gain is modest; on the 3-D FEM system the solver
   // uses in production it is ~2x, see the solver integration tests.)
   EXPECT_LT(solve(Precon::kBlockSsor), solve(Precon::kJacobi));
+}
+
+/// FNV-1a 64 over the raw bytes of a vector of doubles.
+std::uint64_t fnv64(std::span<const double> v) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto* b = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t i = 0; i < v.size_bytes(); ++i) {
+    h ^= b[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// Pins every bit dist_cg produces on a small 3-D FEM Poisson matrix under
+/// an unstructured 5-rank owner map: iterations, residual, the solution
+/// bytes and the charged virtual cost. Two rows are edited so the
+/// preconditioner's edge cases are reached: a Dirichlet row whose stored
+/// diagonal is zero, and a free row whose diagonal entry is missing.
+TEST(Dist, CgBitsPinnedOnUnstructured3dPoisson) {
+  mesh::NozzleSpec spec;
+  spec.radius = 0.01;
+  spec.length = 0.05;
+  spec.radial_divisions = 2;
+  spec.axial_divisions = 3;
+  const mesh::RefinedMesh fine = mesh::red_refine(
+      mesh::make_cylinder_nozzle(spec), mesh::nozzle_classifier(spec));
+  const pic::PoissonSystem sys(fine.mesh, {.phi_inlet = 5.0});
+  const CsrMatrix& k = sys.matrix();
+  const std::int32_t n = k.rows();
+
+  // zero_row: first Dirichlet row (identity) gets a stored 0 diagonal.
+  // no_diag_row: a free row in the middle loses its diagonal entry.
+  std::int32_t zero_row = -1, no_diag_row = -1;
+  for (std::int32_t g = 0; g < n && zero_row < 0; ++g) {
+    if (sys.is_dirichlet()[g]) zero_row = g;
+  }
+  for (std::int32_t g = n / 2; g < n; ++g)
+    if (!sys.is_dirichlet()[g]) {
+      no_diag_row = g;
+      break;
+    }
+  ASSERT_GE(zero_row, 0);
+  ASSERT_GE(no_diag_row, 0);
+  std::vector<Triplet> trips;
+  for (std::int32_t g = 0; g < n; ++g)
+    for (std::int64_t e = k.row_ptr()[g]; e < k.row_ptr()[g + 1]; ++e) {
+      const std::int32_t c = k.col_idx()[static_cast<std::size_t>(e)];
+      double v = k.values()[static_cast<std::size_t>(e)];
+      if (g == c && g == no_diag_row) continue;
+      if (g == c && g == zero_row) v = 0.0;
+      trips.push_back({g, c, v});
+    }
+  const CsrMatrix a = CsrMatrix::from_triplets(n, n, trips);
+
+  // Contiguous blocks with ~30% of rows scattered to random ranks.
+  constexpr int kRanks = 5;
+  Rng rng(77);
+  std::vector<std::int32_t> owner(n);
+  for (std::int32_t g = 0; g < n; ++g) {
+    owner[g] = static_cast<std::int32_t>(g * kRanks / n);
+    if (rng.uniform(0, 1) < 0.3)
+      owner[g] = static_cast<std::int32_t>(rng.uniform_index(kRanks));
+  }
+  const DistMatrix dm =
+      DistMatrix::build(a, DistLayout::build(kRanks, owner, a));
+
+  // Some owned row, not the last on its rank, has halo columns but no
+  // strictly-upper owned entry.
+  bool halo_without_upper = false;
+  for (int r = 0; r < kRanks && !halo_without_upper; ++r) {
+    const CsrMatrix& loc = dm.local[r];
+    const auto nowned = static_cast<std::int32_t>(dm.layout.owned[r].size());
+    for (std::int32_t i = 0; i + 1 < nowned; ++i) {
+      bool upper = false, halo = false;
+      for (std::int64_t e = loc.row_ptr()[i]; e < loc.row_ptr()[i + 1]; ++e) {
+        const std::int32_t c = loc.col_idx()[static_cast<std::size_t>(e)];
+        upper |= c > i && c < nowned;
+        halo |= c >= nowned;
+      }
+      if (halo && !upper) {
+        halo_without_upper = true;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(halo_without_upper);
+
+  std::vector<double> b(n), x0(n);
+  for (auto& v : b) v = rng.uniform(-1, 1);
+  for (auto& v : x0) v = rng.uniform(-1, 1);
+  b[zero_row] = 0.0;  // keeps the zero row consistent
+
+  struct Expected {
+    Precon precon;
+    int iterations;
+    double residual;
+    std::uint64_t solution_fnv;
+    double busy_max, busy_sum;
+    std::uint64_t transactions;
+    double bytes;
+  };
+  const Expected expected[] = {
+      {Precon::kNone, 89, 0x1.4ef02abcd4472p-34, 0x942e30c5a847c669ULL,
+       0x1.5995994013a72p-9, 0x1.ac630fc4c4132p-7, 1800, 0x1.15bcp+18},
+      {Precon::kJacobi, 68, 0x1.a07e90619babp-34, 0x75fbcb8da3dda652ULL,
+       0x1.08f15177a8149p-9, 0x1.486c8a05c1a5p-7, 1380, 0x1.a9dcp+17},
+      {Precon::kBlockSsor, 58, 0x1.54a1560288c57p-34, 0x8df01706b5705e41ULL,
+       0x1.d1e9c225ffc6ap-10, 0x1.1f132c3ddcc14p-7, 1180, 0x1.6c24p+17},
+  };
+  for (const Expected& e : expected) {
+    SCOPED_TRACE(static_cast<int>(e.precon));
+    par::Runtime rt(kRanks,
+                    par::Topology(par::MachineProfile::tianhe2(), kRanks));
+    SolveOptions opt{.rel_tol = 1e-10, .max_iterations = 400};
+    opt.dist_precon = e.precon;
+    const DistVector db = scatter_vector(dm.layout, b);
+    DistVector dx = scatter_vector(dm.layout, x0);
+    const SolveResult res = dist_cg(rt, "pin", dm, db, dx, opt);
+    const std::vector<double> x = gather_vector(dm.layout, dx);
+    const par::PhaseStats st = rt.phase_stats("pin");
+    EXPECT_EQ(res.iterations, e.iterations);
+    EXPECT_EQ(res.residual, e.residual);
+    EXPECT_EQ(fnv64(x), e.solution_fnv);
+    EXPECT_EQ(st.busy_max, e.busy_max);
+    EXPECT_EQ(st.busy_sum, e.busy_sum);
+    EXPECT_EQ(st.transactions, e.transactions);
+    EXPECT_EQ(st.bytes, e.bytes);
+  }
 }
 
 }  // namespace
