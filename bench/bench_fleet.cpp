@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   fo.results_dir = fopt.results_dir;
   fo.lease_steps = fopt.lease;
   fo.machine = opt.machine;
-  fo.kernel_threads = opt.kernel_threads;
+  fo.threads = opt.threads;
   fo.sort_every = opt.sort_every;
   // Per-run telemetry rides on the per-run dirs; --metrics-dir requests it
   // (the directory itself is the fleet results dir, so only the cadence

@@ -182,7 +182,8 @@ int main(int argc, char** argv) {
   }
 
   const dsmc::Mover mover(coarse, table, dsmc::MoverConfig{});
-  support::KernelExec exec2(2), exec4(4);
+  support::ThreadPool pool2(2), pool4(4);
+  const support::KernelExec exec2(&pool2), exec4(&pool4);
   struct Lane {
     const char* name;
     const support::KernelExec* exec;
@@ -375,7 +376,7 @@ int main(int argc, char** argv) {
     rep.config.case_name = cs.str();
     rep.config.ranks = 1;
     rep.config.machine = "host";
-    rep.config.kernel_threads = 4;
+    rep.config.threads = 4;
     rep.config.audit_severity = "off";
     rep.profiler = &prof;
     obs::write_run_report_file(*report, rep);

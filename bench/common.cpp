@@ -38,14 +38,11 @@ CommonFlags::CommonFlags(Cli& cli, std::string bench_name,
   machine_ = cli.add_string("machine", "tianhe2",
                             "machine profile: tianhe2 | bscc | tianhe3");
   seed_ = cli.add_int("seed", 42, "base RNG seed");
-  exec_mode_ = cli.add_string(
-      "exec-mode", "seq",
-      "superstep execution backend: seq | threaded (bit-identical results)");
   threads_ = cli.add_int(
-      "threads", 0, "worker lanes for --exec-mode threaded (0 = all cores)");
-  kernel_threads_ = cli.add_int(
-      "kernel-threads", 1,
-      "intra-rank kernel lanes (1 = serial; bit-identical results)");
+      "threads", 1,
+      "host threads (1 = serial, 0 = all cores); each superstep spends them "
+      "on rank bodies when ranks > threads, else on kernel chunks "
+      "(bit-identical results)");
   sort_every_ = cli.add_int(
       "sort-every", 8,
       "cell-sort the particle stores every N DSMC steps "
@@ -107,9 +104,8 @@ BenchOptions CommonFlags::finish() const {
   o.particle_scale = *particles_;
   o.machine = *machine_;
   o.seed = static_cast<std::uint64_t>(*seed_);
-  o.exec_mode = par::parse_exec_mode(*exec_mode_);
-  o.exec_threads = static_cast<int>(*threads_);
-  o.kernel_threads = static_cast<int>(*kernel_threads_);
+  o.threads = static_cast<int>(*threads_);
+  DSMCPIC_CHECK_MSG(o.threads >= 0, "--threads must be >= 0");
   o.sort_every = static_cast<int>(*sort_every_);
   o.trace_path = *trace_;
   o.bench_name = bench_name_;
@@ -236,9 +232,7 @@ core::ParallelConfig make_parallel(const core::Dataset& ds, int nranks,
   par.balance.ensemble.initial = opt.ranks_initial;
   par.particle_scale = ds.paper_particle_scale;
   par.grid_scale = ds.paper_grid_scale;
-  par.exec_mode = opt.exec_mode;
-  par.exec_threads = opt.exec_threads;
-  par.kernel_threads = opt.kernel_threads;
+  par.threads = opt.threads;
   return par;
 }
 

@@ -27,12 +27,10 @@ struct BenchOptions {
   double particle_scale = 1.0;  // multiplies dataset particle targets
   std::string machine = "tianhe2";
   std::uint64_t seed = 42;
-  // Superstep execution backend (wall-clock only; virtual times and all
-  // reported numbers are bit-identical across modes).
-  par::ExecMode exec_mode = par::ExecMode::kSequential;
-  int exec_threads = 0;  // <= 0: one lane per hardware thread
-  // Intra-rank kernel lanes (orthogonal to exec_mode; bit-identical too).
-  int kernel_threads = 1;
+  // Host thread budget, ParallelConfig::threads (1 = serial, 0 = one per
+  // hardware thread). Wall-clock only: every reported number is
+  // bit-identical for any value.
+  int threads = 1;
   // Periodic cell sort interval in DSMC steps (0 disables). Bit-identical
   // for any value — sorting only changes memory layout and wall-clock.
   int sort_every = 8;
@@ -96,9 +94,7 @@ class CommonFlags {
   const double* particles_;
   const std::string* machine_;
   const std::int64_t* seed_;
-  const std::string* exec_mode_;
   const std::int64_t* threads_;
-  const std::int64_t* kernel_threads_;
   const std::int64_t* sort_every_;
   const std::string* trace_;
   const std::string* report_;

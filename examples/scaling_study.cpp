@@ -24,10 +24,8 @@ int main(int argc, char** argv) {
   const auto* steps = cli.add_int("steps", 30, "DSMC steps per run");
   const auto* machine =
       cli.add_string("machine", "tianhe2", "tianhe2 | bscc | tianhe3");
-  const auto* exec_mode = cli.add_string(
-      "exec-mode", "seq", "superstep execution: seq | threaded");
-  const auto* threads =
-      cli.add_int("threads", 0, "worker lanes for threaded (0 = all cores)");
+  const auto* threads = cli.add_int(
+      "threads", 1, "host threads (1 = serial, 0 = all cores)");
   if (!cli.parse(argc, argv)) return 0;
 
   std::vector<int> ranks;
@@ -60,8 +58,7 @@ int main(int argc, char** argv) {
       par.balance.period = 10;
       par.particle_scale = ds.paper_particle_scale;
       par.grid_scale = ds.paper_grid_scale;
-      par.exec_mode = par::parse_exec_mode(*exec_mode);
-      par.exec_threads = static_cast<int>(*threads);
+      par.threads = static_cast<int>(*threads);
       core::CoupledSolver solver(ds.config, par);
       solver.run(static_cast<int>(*steps));
       times.push_back(solver.runtime().total_time());

@@ -31,8 +31,8 @@ path = sys.argv[1]
 r = json.load(open(path))
 assert r["schema"] == "dsmcpic.run_report.v1", r["schema"]
 assert r["bench"] == "bench_fig05_imbalance"
-for key in ("ranks", "steps", "machine", "seed", "exec_mode",
-            "exec_threads", "kernel_threads", "strategy", "balance", "audit"):
+for key in ("ranks", "steps", "machine", "seed", "threads", "strategy",
+            "balance", "audit"):
     assert key in r["config"], f"{path}: config.{key} missing"
 assert r["virtual_time"]["total_seconds"] > 0
 phases = {p["phase"] for p in r["virtual_time"]["phases"]}

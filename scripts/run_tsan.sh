@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Builds the runtime + determinism tests under ThreadSanitizer and runs
-# them. The threaded superstep backend claims "bit-identical by
-# construction, no locks in rank bodies", and the intra-rank kernel lanes
-# (DESIGN.md §2d) claim the same for chunked move/collide/react/deposit —
-# this is the check that both constructions are actually race-free, not
-# just deterministic by luck.
+# them. The one thread budget (DESIGN.md §2c) spends the runtime's pool on
+# rank bodies when active ranks > threads ("bit-identical by construction,
+# no locks in rank bodies") and otherwise on chunked move/collide/react/
+# deposit inside them, which claims the same. The filters below run both
+# dispatch levels — this is the check that both are actually race-free,
+# not just deterministic by luck.
 #
 #   scripts/run_tsan.sh [build-dir]
 #
@@ -29,26 +30,28 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # lanes. The solver-level suites stay below the cutoff, so this unit test
 # is the only TSan coverage of the deposit's phase-A/phase-B threading.
 "$BUILD"/tests/pic_test --gtest_filter='Deposit.*'
-# Intra-rank kernel chunking first (real threads inside move/collide/
-# react/deposit), then the sorted-traversal suite (periodic cell sort
-# composed with threaded exec + kernel lanes, DESIGN.md §2g), then the
-# full harness including both levels at once.
+# Kernel-level dispatch first (ranks <= threads: real threads inside
+# move/collide/react/deposit; BothDispatchLevelsMatchSerial also runs the
+# rank level), then the sorted-traversal suite (periodic cell sort under
+# both levels, DESIGN.md §2g), then the full harness, whose
+# EveryThreadCountMatchesSerialOnBothSidesOfTheRule sweeps threads 2/4/8
+# at 3 and 8 ranks.
 "$BUILD"/tests/determinism_test --gtest_filter='KernelThreads.*'
 "$BUILD"/tests/determinism_test --gtest_filter='SortDeterminism.*'
 # The timer cost model feeds measured virtual time back into the partition
-# weights (DESIGN.md §2h); its threaded/kernel-lane runs re-read the busy
+# weights (DESIGN.md §2h); its runs at both dispatch levels re-read the busy
 # counters on the driver thread between supersteps, so a racy accounting
 # path would surface in this filter before the full harness runs.
 "$BUILD"/tests/determinism_test --gtest_filter='CostModelDeterminism.*'
 "$BUILD"/tests/determinism_test
 # Tracing claims driver-thread-only recording (DESIGN.md §2e); the
-# determinism suite runs trace-enabled solves over the threaded backend,
-# so a racy recorder hook would be flagged here.
+# trace suite records solves at threads 4 (rank level) and 8 (kernel
+# level), so a racy recorder hook would be flagged here.
 "$BUILD"/tests/trace_test
 # The health auditor and host profiler claim zero perturbation of the
 # deterministic state (DESIGN.md §2f); the audit-enabled determinism suite
-# runs audited+profiled solves over the threaded backend with kernel
-# threads, so a racy profiler scope or auditor hook would be flagged here.
+# runs audited+profiled solves at threads 4 (rank level) and 8 (kernel
+# level), so a racy profiler scope or auditor hook would be flagged here.
 "$BUILD"/tests/obs_test
 # The cost-model / rebalance-policy unit battery is single-threaded logic,
 # but TSan instrumentation still exercises its allocation and EWMA paths
@@ -56,10 +59,11 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD"/tests/balance_policy_test
 # Elastic rank ensembles (DESIGN.md §2i): resizing the active prefix
 # mid-run reroutes ownership through exchange + redecompose while the
-# threaded backend is live, and the pooled payload free-lists are touched
-# from rank bodies. The exec-mode bit-identity test runs the threaded
-# backend through a resize, so a racy pool or active-set handoff would be
-# flagged here.
+# pool is live, and the pooled payload free-lists are touched from rank
+# bodies. The thread-count bit-identity test shrinks 12 active ranks to at
+# most 4 on 4 and 8 lanes, so one solver switches from rank to kernel
+# dispatch mid-run; a racy pool or active-set handoff would be flagged
+# here.
 "$BUILD"/tests/ensemble_test
 # The fleet service (DESIGN.md §2j) runs whole solvers concurrently on the
 # slot pool while they read the same immutable CaseGeometry through
@@ -72,8 +76,8 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # driver thread, but the FLEET aggregator republishes fleet_summary.json +
 # fleet_metrics.prom from whichever slot finished a lease, serialized by
 # publish_mu_ — and per-run hubs write exposition files from concurrent
-# slots. The fleet-telemetry test plus the threaded postmortem runs would
-# flag a racy snapshot or a torn publish here.
+# slots. The fleet-telemetry test plus the postmortem runs at both
+# dispatch levels would flag a racy snapshot or a torn publish here.
 "$BUILD"/tests/telemetry_test
 
 echo "TSan sweep clean."

@@ -19,7 +19,7 @@
 // simulation (virtual-time busy counters and particle counts — never wall
 // clock), so the produced weights, and therefore the rebalancer's
 // decisions and the golden digests, are bit-identical run-to-run and
-// across --exec-mode / --kernel-threads / --sort-every.
+// across --threads / --sort-every.
 
 #include <cstdint>
 #include <iosfwd>

@@ -23,7 +23,7 @@
 // toward n*, clamped to [ranks_min, ranks_max], at most doubling or halving
 // per decision, with a hysteresis deadband so noise never thrashes the
 // decomposition. All inputs are virtual time: decision sequences are
-// deterministic and reproducible across exec modes.
+// deterministic and reproducible across thread budgets.
 
 #include <cstdint>
 #include <iosfwd>

@@ -26,7 +26,7 @@
 // back to the threshold comparison).
 //
 // Every input is virtual time (never wall clock), so decision sequences
-// are deterministic and reproducible run-to-run and across exec modes.
+// are deterministic and reproducible run-to-run and across thread budgets.
 
 #include <cstdint>
 #include <iosfwd>

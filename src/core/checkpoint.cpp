@@ -52,39 +52,38 @@ std::uint64_t config_fingerprint(const SolverConfig& cfg,
 }  // namespace
 
 void CoupledSolver::save_checkpoint(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary);
-  DSMCPIC_CHECK_MSG(os.good(), "cannot open checkpoint file " << path);
+  io::atomic_write_file(path, [&](std::ostream& os) {
+    io::write_pod(os, kMagic);
+    io::write_pod(os, kVersion);
+    io::write_pod(os, config_fingerprint(cfg_, pcfg_, coarse_.num_tets()));
 
-  io::write_pod(os, kMagic);
-  io::write_pod(os, kVersion);
-  io::write_pod(os, config_fingerprint(cfg_, pcfg_, coarse_.num_tets()));
+    io::write_pod(os, step_);
+    io::write_pod(os, steps_since_rebalance_);
+    io::write_vec(os, owner_);
 
-  io::write_pod(os, step_);
-  io::write_pod(os, steps_since_rebalance_);
-  io::write_vec(os, owner_);
+    io::write_pod<std::uint64_t>(os, stores_.size());
+    for (const auto& store : stores_) store.save(os);
 
-  io::write_pod<std::uint64_t>(os, stores_.size());
-  for (const auto& store : stores_) store.save(os);
+    io::write_vec(os, phi_global_);
 
-  io::write_vec(os, phi_global_);
+    inject_h_->save(os);
+    inject_hplus_->save(os);
+    collide_->save(os);
+    sampler_.save(os);
 
-  inject_h_->save(os);
-  inject_hplus_->save(os);
-  collide_->save(os);
-  sampler_.save(os);
+    io::write_vec(os, prev_busy_.total);
+    io::write_vec(os, prev_busy_.pm);
+    io::write_vec(os, prev_busy_.poi);
+    io::write_vec(os, prev_busy_.particle);
+    io::write_vec(os, prev_predicted_);
+    io::write_pod(os, lb_stats_);
+    cost_model_.save(os);
+    policy_.save(os);
+    io::write_pod<std::int32_t>(os, active_);
+    ensemble_.save(os);
 
-  io::write_vec(os, prev_busy_.total);
-  io::write_vec(os, prev_busy_.pm);
-  io::write_vec(os, prev_busy_.poi);
-  io::write_vec(os, prev_busy_.particle);
-  io::write_vec(os, prev_predicted_);
-  io::write_pod(os, lb_stats_);
-  cost_model_.save(os);
-  policy_.save(os);
-  io::write_pod<std::int32_t>(os, active_);
-  ensemble_.save(os);
-
-  rt_->save(os);
+    rt_->save(os);
+  });
 }
 
 void CoupledSolver::restore_checkpoint(const std::string& path) {

@@ -12,7 +12,6 @@
 #include "linalg/krylov.hpp"
 #include "mesh/nozzle.hpp"
 #include "par/machine.hpp"
-#include "par/runtime.hpp"
 #include "pic/poisson.hpp"
 
 namespace dsmcpic::core {
@@ -72,8 +71,8 @@ struct SolverConfig {
   /// rank's particle store is reordered cell-major (stable counting sort) so
   /// collide/deposit traversals stream memory linearly. 0 disables. Pure
   /// memory-layout work: results, digests and virtual clocks are
-  /// bit-identical for ANY value, and like kernel_threads it is not part of
-  /// the checkpoint fingerprint.
+  /// bit-identical for ANY value, and like ParallelConfig::threads it is not
+  /// part of the checkpoint fingerprint.
   int sort_every = 0;
 
   /// Deliberate corruption for auditor tests; kNone outside of tests.
@@ -100,20 +99,13 @@ struct ParallelConfig {
   double grid_scale = 1.0;
   exchange::Strategy strategy = exchange::Strategy::kDistributed;
   balance::RebalanceConfig balance;
-  /// Superstep execution backend. kThreaded runs rank bodies on a worker
-  /// pool; results (virtual clocks, diagnostics, physics) are bit-identical
-  /// to kSequential — only wall-clock changes. Not part of the checkpoint
-  /// fingerprint, so a threaded run may restore a sequential checkpoint and
-  /// vice versa.
-  par::ExecMode exec_mode = par::ExecMode::kSequential;
-  /// Worker lanes for kThreaded; <= 0 means one per hardware thread.
-  int exec_threads = 0;
-  /// Intra-rank kernel lanes (the second level of the execution model,
-  /// DESIGN.md §2d): move/collide/react/deposit chunk their particle or
-  /// cell ranges across a dedicated pool. Orthogonal to exec_mode; results
-  /// and virtual clocks are bit-identical to serial for any value. <= 1
-  /// means serial kernels. Not part of the checkpoint fingerprint.
-  int kernel_threads = 1;
+  /// Host thread budget (DESIGN.md §2c): 1 = serial, 0 = one lane per
+  /// hardware thread. The runtime owns one pool of this many lanes and each
+  /// superstep gives it to rank bodies (more active ranks than lanes) or to
+  /// the move/collide/react/deposit chunks inside them. Results and virtual
+  /// clocks are bit-identical for any value, so it is not part of the
+  /// checkpoint fingerprint.
+  int threads = 1;
 };
 
 /// Phase labels (paper Fig. 1). Used as runtime phase keys everywhere so

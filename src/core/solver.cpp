@@ -84,8 +84,7 @@ void CoupledSolver::init() {
 
   rt_ = std::make_unique<par::Runtime>(
       nranks, par::Topology(pcfg_.profile, nranks, pcfg_.placement),
-      pcfg_.particle_scale, pcfg_.grid_scale,
-      par::ExecOptions{pcfg_.exec_mode, pcfg_.exec_threads});
+      pcfg_.particle_scale, pcfg_.grid_scale, pcfg_.threads);
   if (active_ < nranks) rt_->set_active_ranks(active_);
 
   psys_ = std::make_unique<pic::PoissonSystem>(refined_.mesh, cfg_.poisson_bcs);
@@ -94,7 +93,7 @@ void CoupledSolver::init() {
   stores_.resize(nranks);
   removed_.assign(nranks, {});
 
-  kexec_ = std::make_unique<support::KernelExec>(pcfg_.kernel_threads);
+  kexec_ = support::KernelExec(rt_->pool());
   cell_index_.resize(nranks);
   collide_scratch_.resize(nranks);
   deposit_scratch_.resize(nranks);
@@ -248,7 +247,7 @@ void CoupledSolver::do_dsmc_move(StepDiagnostics& diag) {
     const obs::HostProfiler::Scope prof(prof_, "move");
     const dsmc::MoveStats st = mover_->move_all(
         stores_[r], cfg_.dt_dsmc, step_, removed_[r],
-        dsmc::MoveFilter::kNeutralOnly, kexec_.get());
+        dsmc::MoveFilter::kNeutralOnly, &kexec_);
     c.charge(par::WorkKind::kMove, static_cast<double>(st.moved));
     c.charge(par::WorkKind::kWalkStep, static_cast<double>(st.walk_steps));
     exited[r] = st.exited;
@@ -339,7 +338,7 @@ void CoupledSolver::do_colli_react(StepDiagnostics& diag) {
     {
       const obs::HostProfiler::Scope prof(prof_, "collide");
       cs = collide_->collide_cells(stores_[r], index, my_cells_[r],
-                                   cfg_.dt_dsmc, step_, kexec_.get(),
+                                   cfg_.dt_dsmc, step_, &kexec_,
                                    &collide_scratch_[r]);
     }
     removed_[r].resize(stores_[r].size(), 0);  // chemistry appended ions
@@ -348,7 +347,7 @@ void CoupledSolver::do_colli_react(StepDiagnostics& diag) {
       const obs::HostProfiler::Scope prof(prof_, "react");
       rs = chemistry_->recombine(stores_[r], index, my_cells_[r], coarse_,
                                  cfg_.dt_dsmc, step_, removed_[r],
-                                 kexec_.get());
+                                 &kexec_);
     }
     c.charge(par::WorkKind::kCollide, static_cast<double>(cs.candidates));
     c.charge(par::WorkKind::kReact,
@@ -383,13 +382,13 @@ void CoupledSolver::do_pic_substep(int substep, StepDiagnostics& diag) {
     auto spec = store.species();
     auto ids = store.ids();
     // Particles are independent (gather/push/move touch only slot i), so
-    // the range chunks across the kernel pool; per-chunk counters are
+    // the range chunks across the runtime's pool; per-chunk counters are
     // summed in chunk order.
     std::array<dsmc::MoveStats, 64> chunk_st{};
     std::array<std::int64_t, 64> chunk_pushed{};
     std::array<std::int64_t, 64> chunk_lost{};
     const std::int64_t n = static_cast<std::int64_t>(store.size());
-    kexec_->for_chunks(n, [&](int ch, std::int64_t begin, std::int64_t end) {
+    kexec_.for_chunks(n, [&](int ch, std::int64_t begin, std::int64_t end) {
       for (std::int64_t i = begin; i < end; ++i) {
         if (removed_[r][i]) continue;
         const dsmc::Species& sp = species_[spec[i]];
@@ -421,7 +420,7 @@ void CoupledSolver::do_pic_substep(int substep, StepDiagnostics& diag) {
     });
     dsmc::MoveStats st;
     std::int64_t pushed = 0;
-    for (int ch = 0; ch < kexec_->num_chunks(n); ++ch) {
+    for (int ch = 0; ch < kexec_.num_chunks(n); ++ch) {
       st.moved += chunk_st[ch].moved;
       st.walk_steps += chunk_st[ch].walk_steps;
       st.exited += chunk_st[ch].exited;
@@ -453,7 +452,7 @@ void CoupledSolver::do_poisson_solve(StepDiagnostics& diag) {
     const obs::HostProfiler::Scope prof(prof_, "deposit");
     const pic::DepositStats st = pic::deposit_charge(
         stores_[r], *fine_, species_, nodex_->rank_nodes(r), removed_[r],
-        node_charge[r], kexec_.get(), &deposit_scratch_[r]);
+        node_charge[r], &kexec_, &deposit_scratch_[r]);
     c.charge(par::WorkKind::kDeposit, static_cast<double>(st.deposited));
   });
   if (cfg_.fault == FaultInjection::kSkewDeposit && !node_charge[0].empty()) {

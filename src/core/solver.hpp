@@ -248,10 +248,9 @@ class CoupledSolver {
   std::vector<dsmc::ParticleStore> stores_;          // per rank
   std::vector<std::vector<std::uint8_t>> removed_;   // per rank flags
 
-  // Intra-rank kernel executor (pcfg_.kernel_threads lanes; shared by all
-  // rank bodies — batches serialize on its pool) and per-rank reusable
-  // scratch so chunking allocates nothing in steady state.
-  std::unique_ptr<support::KernelExec> kexec_;
+  // Intra-rank kernel executor (a view of the runtime's pool) and per-rank
+  // reusable scratch so chunking allocates nothing in steady state.
+  support::KernelExec kexec_;
   std::vector<dsmc::CellIndex> cell_index_;          // per rank, rebuilt
   std::vector<dsmc::CollideScratch> collide_scratch_;
   std::vector<pic::DepositScratch> deposit_scratch_;

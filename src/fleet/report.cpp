@@ -17,9 +17,7 @@ void fill_run_report(obs::RunReport& rep, const core::CoupledSolver& solver,
   rep.config.steps = meta.steps;
   rep.config.machine = meta.machine;
   rep.config.seed = meta.seed;
-  rep.config.exec_mode = par::exec_mode_name(par.exec_mode);
-  rep.config.exec_threads = par.exec_threads;
-  rep.config.kernel_threads = par.kernel_threads;
+  rep.config.threads = par.threads;
   rep.config.sort_every = solver.config().sort_every;
   rep.config.strategy = exchange::strategy_name(par.strategy);
   rep.config.balance = par.balance.enabled;

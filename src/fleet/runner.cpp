@@ -133,26 +133,24 @@ std::string FleetRunner::add_resume(const std::string& run_dir) {
 }
 
 void FleetRunner::write_sidecar(const JobState& js) const {
-  std::ofstream os(js.dir + "/lease.bin",
-                   std::ios::binary | std::ios::trunc);
-  DSMCPIC_CHECK_MSG(os.good(), "cannot write " << js.dir << "/lease.bin");
-  io::write_string(os, kLeaseSchema);
-  io::write_string(os, js.run_id);
-  io::write_string(os, js.job.scenario);
-  io::write_pod(os, js.job.seed);
-  io::write_pod(os, static_cast<std::int64_t>(js.ranks));
-  io::write_pod(os, static_cast<std::int64_t>(js.steps_total));
-  io::write_pod(os, static_cast<std::int64_t>(js.steps_done));
-  io::write_pod(os, static_cast<std::int64_t>(js.leases));
-  io::write_pod(os, js.digest.value());
-  io::write_pod(os, js.carried.injected);
-  io::write_pod(os, js.carried.migrated_dsmc);
-  io::write_pod(os, js.carried.migrated_pic);
-  io::write_pod(os, js.carried.collisions);
-  io::write_pod(os, js.carried.ionizations);
-  io::write_pod(os, js.carried.recombinations);
-  io::write_pod(os, js.carried.rebalances);
-  DSMCPIC_CHECK_MSG(os.good(), "write failed: " << js.dir << "/lease.bin");
+  io::atomic_write_file(js.dir + "/lease.bin", [&](std::ostream& os) {
+    io::write_string(os, kLeaseSchema);
+    io::write_string(os, js.run_id);
+    io::write_string(os, js.job.scenario);
+    io::write_pod(os, js.job.seed);
+    io::write_pod(os, static_cast<std::int64_t>(js.ranks));
+    io::write_pod(os, static_cast<std::int64_t>(js.steps_total));
+    io::write_pod(os, static_cast<std::int64_t>(js.steps_done));
+    io::write_pod(os, static_cast<std::int64_t>(js.leases));
+    io::write_pod(os, js.digest.value());
+    io::write_pod(os, js.carried.injected);
+    io::write_pod(os, js.carried.migrated_dsmc);
+    io::write_pod(os, js.carried.migrated_pic);
+    io::write_pod(os, js.carried.collisions);
+    io::write_pod(os, js.carried.ionizations);
+    io::write_pod(os, js.carried.recombinations);
+    io::write_pod(os, js.carried.rebalances);
+  });
 }
 
 void FleetRunner::run_lease(JobState& js) {
@@ -163,7 +161,7 @@ void FleetRunner::run_lease(JobState& js) {
   cfg.sort_every = opts_.sort_every;
   core::ParallelConfig par = canonical_parallel(js.ranks);
   par.profile = assets_->machine(opts_.machine);
-  par.kernel_threads = opts_.kernel_threads;
+  par.threads = opts_.threads;
   // The hub outlives the solver (the solver holds a raw pointer to it).
   std::unique_ptr<obs::TelemetryHub> hub;
   if (opts_.telemetry && !js.dir.empty()) {

@@ -53,7 +53,7 @@ struct FleetOptions {
   /// Preemption granularity: max DSMC steps per lease (0 = to completion).
   int lease_steps = 0;
   std::string machine = "tianhe2";
-  int kernel_threads = 1;
+  int threads = 1;     // per-run thread budget, see ParallelConfig::threads
   int sort_every = 8;  // digest-invariant, see SolverConfig::sort_every
   /// Live telemetry (docs/observability.md §6). With a results dir, every
   /// lease runs under a TelemetryHub publishing <run_dir>/metrics.prom +

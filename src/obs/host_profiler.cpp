@@ -7,8 +7,8 @@ namespace dsmcpic::obs {
 
 namespace {
 // Per-thread nesting stack: holds the '/'-joined path of open scopes on
-// this thread. Thread-local so concurrent superstep bodies (ExecMode::
-// kThreaded) and kernel lanes never observe each other's nesting.
+// this thread. Thread-local so concurrent superstep bodies and kernel
+// chunks on the runtime's pool never observe each other's nesting.
 thread_local std::string t_scope_path;
 }  // namespace
 

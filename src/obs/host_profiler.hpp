@@ -12,9 +12,9 @@
 //    profiler; nothing reads them back into physics, clocks, RNG streams
 //    or traces, so golden digests and trace bytes are bit-identical with
 //    the profiler attached or not (tests/obs_test.cpp);
-//  * thread-aware — scopes may open on any thread: superstep bodies run
-//    on the runtime's worker pool under ExecMode::kThreaded, and those
-//    bodies call kernels that additionally fan out over a KernelExec pool.
+//  * thread-aware — scopes may open on any thread: each superstep spends
+//    the runtime's pool on rank bodies or on the kernel chunks inside
+//    them (DESIGN.md §2c).
 //    Recording is mutex-protected, and the nesting stack that builds
 //    hierarchical names ("rebalance/exchange") is thread-local so lanes
 //    never see each other's open scopes.

@@ -21,9 +21,7 @@ void write_run_report(std::ostream& os, const RunReport& report) {
   w.kv("steps", report.config.steps);
   w.kv("machine", report.config.machine);
   w.kv("seed", report.config.seed);
-  w.kv("exec_mode", report.config.exec_mode);
-  w.kv("exec_threads", report.config.exec_threads);
-  w.kv("kernel_threads", report.config.kernel_threads);
+  w.kv("threads", report.config.threads);
   w.kv("sort_every", report.config.sort_every);
   w.kv("strategy", report.config.strategy);
   w.kv("balance", report.config.balance);

@@ -35,9 +35,7 @@ struct RunReportConfig {
   int steps = 0;
   std::string machine;
   std::uint64_t seed = 0;
-  std::string exec_mode;
-  int exec_threads = 0;
-  int kernel_threads = 0;
+  int threads = 0;     // host thread budget (0 = one per hardware thread)
   int sort_every = 0;  // periodic cell-sort interval (0 = never)
   std::string strategy;
   bool balance = false;

@@ -19,8 +19,8 @@
 //     abort, a fault-injection trip, or a solver park it dumps
 //     postmortem.json: the deterministic slice of those records (virtual
 //     time, ledger, phases, decisions, audit tallies — no wall-clock, no
-//     pool internals), so the bytes are identical across --exec-mode /
-//     --kernel-threads / --sort-every.
+//     pool internals), so the bytes are identical across --threads /
+//     --sort-every.
 //
 //   * Exposition — Prometheus text format (metrics.prom) + JSON snapshot
 //     (metrics.json), republished atomically (tmp + rename) every K

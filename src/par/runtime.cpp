@@ -75,13 +75,12 @@ double Comm::alpha_to(int peer) const {
 // ---- Runtime ----------------------------------------------------------------
 
 Runtime::Runtime(int nranks, Topology topology, double particle_scale,
-                 double grid_scale, ExecOptions exec)
+                 double grid_scale, int threads)
     : nranks_(nranks),
       active_(nranks),
       topo_(std::move(topology)),
       particle_scale_(particle_scale),
       grid_scale_(grid_scale),
-      exec_(exec),
       clocks_(nranks, 0.0),
       pending_(nranks),
       inbox_(nranks),
@@ -92,22 +91,11 @@ Runtime::Runtime(int nranks, Topology topology, double particle_scale,
                     "topology sized for " << topo_.nranks() << " ranks, not "
                                           << nranks);
   DSMCPIC_CHECK(particle_scale > 0.0 && grid_scale > 0.0);
-  if (exec_.mode == ExecMode::kThreaded && nranks > 1)
-    pool_ = std::make_unique<support::ThreadPool>(exec_.threads);
-}
-
-int Runtime::exec_threads() const { return pool_ ? pool_->num_threads() : 1; }
-
-ExecMode parse_exec_mode(const std::string& name) {
-  if (name == "seq" || name == "sequential") return ExecMode::kSequential;
-  if (name == "threaded") return ExecMode::kThreaded;
-  DSMCPIC_CHECK_MSG(false,
-                    "unknown exec mode '" << name << "' (seq | threaded)");
-  return ExecMode::kSequential;
-}
-
-const char* exec_mode_name(ExecMode mode) {
-  return mode == ExecMode::kThreaded ? "threaded" : "seq";
+  DSMCPIC_CHECK_MSG(threads >= 0, "threads must be >= 0, got " << threads);
+  if (threads != 1) {
+    pool_ = std::make_unique<support::ThreadPool>(threads);
+    if (pool_->num_threads() == 1) pool_.reset();  // one-core host
+  }
 }
 
 void Runtime::set_tracer(trace::TraceRecorder* rec) {
@@ -263,11 +251,15 @@ void Runtime::superstep(const std::string& phase,
   in_superstep_ = true;
   current_phase_for_comm_ = pid;
   for (int r = 0; r < active_; ++r) staged_[r].clear();
-  if (pool_) {
-    // Each rank writes only its own slots (clock, busy row entry, staging
-    // buffer, its caller-side state), so the dynamic schedule cannot change
-    // any result. parallel_for's join orders all writes before the merge.
-    // Parked ranks are not dispatched at all: O(active) per superstep.
+  // One thread budget (DESIGN.md §2c): with more active ranks than lanes,
+  // the lanes go to rank bodies and every kernel inside a body runs inline
+  // (ThreadPool's nested-call rule); otherwise the bodies run here in rank
+  // order and each kernel chunks across the same pool. Each rank writes
+  // only its own slots (clock, busy row entry, staging buffer, its
+  // caller-side state), so the dynamic schedule cannot change any result.
+  // parallel_for's join orders all writes before the merge. Parked ranks
+  // are not dispatched at all: O(active) per superstep.
+  if (pool_ && active_ > pool_->num_threads()) {
     pool_->parallel_for(active_, [&](int r) {
       Comm c(this, r);
       fn(c);

@@ -44,25 +44,6 @@ enum class SpanKind : std::uint8_t;
 
 namespace dsmcpic::par {
 
-/// How superstep bodies are executed. Both modes produce bit-identical
-/// results (clocks, phase stats, message ordering, physics) — kThreaded
-/// only changes wall-clock time, never virtual time. See DESIGN.md §2c.
-/// Orthogonal to ParallelConfig::kernel_threads (DESIGN.md §2d): rank
-/// bodies may additionally chunk their own kernels over a shared kernel
-/// pool; virtual clocks are computed from counted work either way, so
-/// neither level of real threading moves them.
-enum class ExecMode { kSequential, kThreaded };
-
-struct ExecOptions {
-  ExecMode mode = ExecMode::kSequential;
-  /// Worker lanes for kThreaded; <= 0 means one per hardware thread.
-  int threads = 0;
-};
-
-/// Parses "seq" / "sequential" / "threaded" (throws on anything else).
-ExecMode parse_exec_mode(const std::string& name);
-const char* exec_mode_name(ExecMode mode);
-
 struct Message {
   int src = -1;
   int dst = -1;
@@ -186,8 +167,10 @@ class Runtime {
   /// workloads (see DESIGN.md §1): `particle_scale` multiplies
   /// particle-proportional charges and payload bytes, `grid_scale`
   /// grid-proportional ones (solver flops, assembly, field halos).
+  /// `threads` is the host thread budget (DESIGN.md §2c): 1 = serial, 0 =
+  /// one lane per hardware thread. Any value gives bit-identical results.
   Runtime(int nranks, Topology topology, double particle_scale = 1.0,
-          double grid_scale = 1.0, ExecOptions exec = {});
+          double grid_scale = 1.0, int threads = 1);
 
   int size() const { return nranks_; }
 
@@ -214,9 +197,11 @@ class Runtime {
   /// freezes the parked ranks' clocks where they stand.
   void set_active_ranks(int n);
 
-  ExecMode exec_mode() const { return exec_.mode; }
-  /// Worker lanes actually used by kThreaded dispatch (1 for kSequential).
-  int exec_threads() const;
+  /// Host lanes of the runtime's pool (1 when serial).
+  int threads() const { return pool_ ? pool_->num_threads() : 1; }
+  /// The solver's one thread pool, shared by rank dispatch and the kernel
+  /// executor; null when serial.
+  support::ThreadPool* pool() const { return pool_.get(); }
   const Topology& topology() const { return topo_; }
   double scale_of(CostClass cls) const {
     switch (cls) {
@@ -229,14 +214,15 @@ class Runtime {
 
   // ---- supersteps -------------------------------------------------------
 
-  /// Runs `fn` once per rank, then routes all messages sent during the
-  /// step; message delivery costs are charged under `phase`. Under
-  /// kSequential, bodies run in rank order 0..N-1 on the calling thread;
-  /// under kThreaded they run concurrently on the pool. Bodies may only
-  /// write rank-indexed state (their store, their clock, their staging
-  /// buffer), which makes the two modes bit-identical: every rank's sends
-  /// land in a private per-rank buffer, and routing merges the buffers in
-  /// (src rank, send order) — exactly the sequential schedule's order.
+  /// Runs `fn` once per active rank, then routes all messages sent during
+  /// the step; message delivery costs are charged under `phase`. With more
+  /// active ranks than pool lanes, bodies run concurrently on the pool (and
+  /// kernels inside them run inline); otherwise they run in rank order
+  /// 0..N-1 on the calling thread (and kernels chunk across the pool).
+  /// Bodies may only write rank-indexed state (their store, their clock,
+  /// their staging buffer), which makes both levels bit-identical: every
+  /// rank's sends land in a private per-rank buffer, and routing merges the
+  /// buffers in (src rank, send order) — exactly the rank-order schedule.
   void superstep(const std::string& phase, const std::function<void(Comm&)>& fn);
 
   /// Overrides the transaction count used for the congestion term of the
@@ -338,7 +324,7 @@ class Runtime {
   /// Attaches a trace recorder; nullptr detaches. Recording is pure
   /// observation — it never moves a clock or touches physics state — and
   /// all hooks run on the driver thread, so traces are bit-identical
-  /// across ExecMode / kernel-thread settings. The recorder must be sized
+  /// across thread budgets. The recorder must be sized
   /// for this runtime's rank count and must outlive the attachment. Not
   /// part of the checkpoint state.
   void set_tracer(trace::TraceRecorder* rec);
@@ -373,8 +359,7 @@ class Runtime {
   Topology topo_;
   double particle_scale_;
   double grid_scale_;
-  ExecOptions exec_;
-  std::unique_ptr<support::ThreadPool> pool_;  // non-null iff kThreaded
+  std::unique_ptr<support::ThreadPool> pool_;  // null when serial
 
   std::vector<double> clocks_;
 

@@ -12,7 +12,7 @@ namespace {
 // Fixed block count of the deterministic reduction. Chosen as a function of
 // the candidate count ALONE (never the thread count), so the floating-point
 // grouping is invariant across executors; 16 blocks keep any realistic
-// kernel pool busy while the per-block node buffers stay cache-resident.
+// pool busy while the per-block node buffers stay cache-resident.
 constexpr int kDepositBlocks = 16;
 constexpr std::int64_t kDepositBlockCutoff = 4096;
 

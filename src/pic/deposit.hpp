@@ -12,7 +12,7 @@
 // reduced per node in ascending block order — a deterministic tree
 // reduction whose floating-point grouping depends only on the particle
 // population, never on the executor, so node_charge is bit-identical for
-// every kernel-thread count and exec mode.
+// every thread budget.
 
 #include <cstdint>
 #include <span>
@@ -48,8 +48,8 @@ struct DepositScratch {
 ///
 /// The blocked schedule is identical with or without `exec` (serial
 /// executors run the same blocks inline, in order), so the result is
-/// bit-identical across serial / kernel-thread configurations; `exec` only
-/// decides whether blocks run concurrently. `scratch` (optional) carries
+/// bit-identical across thread budgets; `exec` only decides whether
+/// blocks run concurrently. `scratch` (optional) carries
 /// the traversal and block buffers across steps.
 DepositStats deposit_charge(const dsmc::ParticleStore& store,
                             const FineGrid& grid,

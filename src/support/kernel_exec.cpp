@@ -12,14 +12,10 @@ constexpr int kChunksPerLane = 4;
 constexpr int kMaxChunks = 64;
 }  // namespace
 
-KernelExec::KernelExec(int threads) : threads_(std::max(threads, 1)) {
-  if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_);
-}
-
 int KernelExec::num_chunks(std::int64_t n) const {
   if (serial() || n <= 1) return 1;
-  const std::int64_t want =
-      std::min<std::int64_t>(static_cast<std::int64_t>(threads_) * kChunksPerLane, kMaxChunks);
+  const std::int64_t want = std::min<std::int64_t>(
+      static_cast<std::int64_t>(threads()) * kChunksPerLane, kMaxChunks);
   return static_cast<int>(std::min(n, want));
 }
 

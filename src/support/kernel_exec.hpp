@@ -1,14 +1,14 @@
 #pragma once
-// Intra-rank kernel executor: chunks an index range [0, n) across a small
-// dedicated ThreadPool (the `--kernel-threads` knob, DESIGN.md §2d).
+// Intra-rank kernel executor: chunks an index range [0, n) across the
+// solver's one ThreadPool, which par::Runtime owns (DESIGN.md §2c).
 //
-// This is the second level of the two-level execution model. The first
-// level (par::Runtime's ExecMode) parallelizes across virtual ranks; this
-// level parallelizes *inside* one rank's kernel call — over particles in
-// move/deposit, over owned cells in collide/react. The two compose: rank
-// bodies running concurrently on the runtime pool may all call into one
-// shared KernelExec, whose batches then serialize on the kernel pool
-// (see ThreadPool's dispatch rules).
+// KernelExec is a non-owning view of that pool, and whether a call chunks
+// is decided per call from what the pool observes. Move/deposit chunk over
+// particles, collide/react over owned cells. When the runtime spreads rank
+// bodies across the pool, a kernel inside a body already holds one of the
+// pool's lanes, so it runs the one-chunk inline path (ThreadPool's
+// nested-call rule). When bodies run in rank order on the driver, each
+// kernel chunks across every lane.
 //
 // Determinism contract: callers must arrange that results are invariant
 // under the chunk count (per-chunk accumulators reduced in chunk order,
@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "support/thread_pool.hpp"
 
@@ -27,12 +26,14 @@ namespace dsmcpic::support {
 
 class KernelExec {
  public:
-  /// threads <= 1 means serial (no pool is created; for_chunks runs one
-  /// chunk inline). threads > 1 spawns a dedicated pool of that many lanes.
-  explicit KernelExec(int threads = 1);
+  /// A view of `pool` (not owned). Null or a one-lane pool means serial.
+  explicit KernelExec(ThreadPool* pool = nullptr) : pool_(pool) {}
 
-  int threads() const { return threads_; }
-  bool serial() const { return threads_ <= 1; }
+  /// Lanes a chunked call spreads over.
+  int threads() const { return pool_ ? pool_->num_threads() : 1; }
+  /// True when calls from this thread run inline as one chunk: no pool, a
+  /// one-lane pool, or a call from inside one of the pool's own batches.
+  bool serial() const { return threads() <= 1 || pool_->in_batch(); }
 
   /// Number of chunks a range of n items is split into. 1 when serial or
   /// when the range is tiny; otherwise a few chunks per lane (capped) so
@@ -41,7 +42,7 @@ class KernelExec {
 
   /// Runs fn(chunk, begin, end) for each chunk covering [0, n). Chunks are
   /// half-open, contiguous, ascending, and their union is exactly [0, n).
-  /// Serial executors run the single chunk inline on the calling thread.
+  /// Serial calls run the single chunk inline on the calling thread.
   void for_chunks(std::int64_t n,
                   const std::function<void(int, std::int64_t, std::int64_t)>&
                       fn) const;
@@ -51,8 +52,8 @@ class KernelExec {
   /// (cost-balanced collide chunks, the deposit's fixed reduction blocks).
   /// The task count is the caller's: it must NOT depend on the thread
   /// count when the caller's determinism contract requires a schedule
-  /// that is invariant across kernel-thread settings. Serial executors
-  /// run every task inline, in ascending order, on the calling thread.
+  /// that is invariant across thread settings. Serial calls run every
+  /// task inline, in ascending order, on the calling thread.
   void for_tasks(int ntasks, const std::function<void(int)>& fn) const;
 
   /// Chunk boundary arithmetic, exposed so tests can assert coverage.
@@ -61,8 +62,7 @@ class KernelExec {
   }
 
  private:
-  int threads_ = 1;
-  std::unique_ptr<ThreadPool> pool_;  // null when serial
+  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace dsmcpic::support

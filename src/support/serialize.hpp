@@ -2,8 +2,13 @@
 // Minimal binary (de)serialization helpers for checkpointing: PODs and
 // vectors of PODs on iostreams, with length prefixes and failure checks;
 // plus the one atomic whole-file writer every published document uses.
+//
+// Length prefixes come from files that may be corrupt, so a reader checks
+// each one against the bytes left in the stream before it allocates.
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -30,6 +35,11 @@ T read_pod(std::istream& is) {
   return value;
 }
 
+/// Throws dsmcpic::Error unless `n` elements of `elem_size` bytes fit in
+/// the bytes left in `is` (unchecked when the stream cannot seek). Called
+/// before anything is allocated for a length read from the stream.
+void check_length(std::istream& is, std::uint64_t n, std::size_t elem_size);
+
 template <typename T>
 void write_vec(std::ostream& os, const std::vector<T>& v) {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -45,6 +55,7 @@ template <typename T>
 std::vector<T> read_vec(std::istream& is) {
   static_assert(std::is_trivially_copyable_v<T>);
   const auto n = read_pod<std::uint64_t>(is);
+  check_length(is, n, sizeof(T));
   std::vector<T> v(n);
   if (n) {
     is.read(reinterpret_cast<char*>(v.data()),
@@ -62,6 +73,7 @@ inline void write_string(std::ostream& os, const std::string& s) {
 
 inline std::string read_string(std::istream& is) {
   const auto n = read_pod<std::uint64_t>(is);
+  check_length(is, n, 1);
   std::string s(n, '\0');
   if (n) {
     is.read(s.data(), static_cast<std::streamsize>(n));
@@ -70,9 +82,16 @@ inline std::string read_string(std::istream& is) {
   return s;
 }
 
-/// Writes `content` to "<path>.tmp" and renames it over `path` (POSIX
+/// Streams `write` into "<path>.tmp" and renames it over `path` (POSIX
 /// rename is atomic within a filesystem), so a reader only ever sees the
-/// old or the new complete file. Throws dsmcpic::Error on I/O failure.
-void atomic_write_file(const std::string& path, const std::string& content);
+/// old or the new complete file; nothing is buffered beyond the stream.
+/// Throws dsmcpic::Error on I/O failure (and passes on what `write`
+/// throws), leaving `path` as it was.
+void atomic_write_file(const std::string& path,
+                       const std::function<void(std::ostream&)>& write);
+inline void atomic_write_file(const std::string& path,
+                              const std::string& content) {
+  atomic_write_file(path, [&](std::ostream& os) { os << content; });
+}
 
 }  // namespace dsmcpic::io

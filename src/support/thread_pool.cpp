@@ -81,9 +81,11 @@ void ThreadPool::worker_loop() {
   }
 }
 
+bool ThreadPool::in_batch() const { return g_draining_pool == this; }
+
 void ThreadPool::parallel_for(int n, const std::function<void(int)>& fn) {
   if (n <= 0) return;
-  if (workers_.empty() || n == 1 || g_draining_pool == this) {
+  if (workers_.empty() || n == 1 || in_batch()) {
     for (int i = 0; i < n; ++i) fn(i);
     return;
   }

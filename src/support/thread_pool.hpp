@@ -1,6 +1,6 @@
 #pragma once
-// Fixed-size worker pool for the runtime's threaded execution backend and
-// the intra-rank kernel executor.
+// Fixed-size worker pool: the one pool par::Runtime owns per solver, shared
+// by superstep rank dispatch and the intra-rank kernel executor.
 //
 // The pool exists for exactly one call shape: parallel_for(n, fn) runs
 // fn(0..n-1) across the workers plus the calling thread and returns when
@@ -11,13 +11,13 @@
 // buffer; see DESIGN.md §2c). The first exception thrown by any index is
 // captured and rethrown on the calling thread after the batch drains.
 //
-// Dispatch rules for the two-level execution model (DESIGN.md §2d):
+// Dispatch rules (DESIGN.md §2c, one thread budget):
 //  * Concurrent external callers are legal: batches are serialized on an
-//    internal mutex, so several superstep rank bodies may share one kernel
-//    pool — their batches simply run one after another.
+//    internal mutex.
 //  * Nested calls (parallel_for from inside an fn running on this pool)
 //    degrade to inline serial execution instead of deadlocking on the
-//    batch mutex.
+//    batch mutex. This is what lets one pool serve both levels: kernels
+//    inside rank bodies that run on the pool take their inline path.
 
 #include <condition_variable>
 #include <cstdint>
@@ -46,6 +46,10 @@ class ThreadPool {
   /// Callable from multiple threads (batches serialize); a nested call from
   /// inside fn on the same pool runs its indices inline on that thread.
   void parallel_for(int n, const std::function<void(int)>& fn);
+
+  /// True on a thread that is running an index of one of this pool's
+  /// batches (a worker or the batch's caller): parallel_for runs inline.
+  bool in_batch() const;
 
  private:
   void worker_loop();

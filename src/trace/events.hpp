@@ -5,8 +5,7 @@
 // clocks of par::Runtime — so a trace is an exact record of the simulated
 // machine, not a noisy wall-clock profile. The runtime emits these records
 // from the driver thread only; worker threads never touch the recorder,
-// which is what makes traces bit-identical across ExecMode / kernel-thread
-// settings.
+// which is what makes traces bit-identical across thread budgets.
 //
 // Phase and work-kind/counter names are interned by the TraceRecorder into
 // small integer ids (`phase`, `key`) to keep per-event storage flat.

@@ -2,10 +2,10 @@
 // TraceRecorder — the in-memory sink for the tracing subsystem
 // (DESIGN.md §2e). par::Runtime calls the add_* hooks from the driver
 // thread (never from superstep worker threads), so recording needs no
-// locks and a trace is bit-identical for every ExecMode / kernel-thread
-// combination. Recording is pure observation: it never advances a clock,
-// touches a message payload, or draws a random number, so a trace-enabled
-// run is bit-identical to a trace-disabled one.
+// locks and a trace is bit-identical for every thread budget. Recording
+// is pure observation: it never advances a clock, touches a message
+// payload, or draws a random number, so a trace-enabled run is
+// bit-identical to a trace-disabled one.
 //
 // Exporters (chrome_writer, metrics CSV) and the offline
 // CriticalPathAnalyzer consume the recorder read-only after the run.

@@ -48,17 +48,15 @@ TEST(BenchCli, CommonFlagsReachBenchOptions) {
   bench::CommonFlags flags(cli, "bench_under_test", "4", 3);
   const char* argv[] = {"prog",           "--ranks",  "2,8",
                         "--steps",        "5",        "--trace",
-                        "/tmp/out.json",  "--exec-mode", "threaded",
-                        "--kernel-threads", "4",
+                        "/tmp/out.json",  "--threads", "4",
                         "--report", "/tmp/report.json",
                         "--audit", "warn"};
-  ASSERT_TRUE(bench::parse_or_usage(cli, 15, argv));
+  ASSERT_TRUE(bench::parse_or_usage(cli, 13, argv));
   const bench::BenchOptions o = flags.finish();
   EXPECT_EQ(o.ranks, (std::vector<int>{2, 8}));
   EXPECT_EQ(o.steps, 5);
   EXPECT_EQ(o.trace_path, "/tmp/out.json");
-  EXPECT_EQ(o.exec_mode, par::ExecMode::kThreaded);
-  EXPECT_EQ(o.kernel_threads, 4);
+  EXPECT_EQ(o.threads, 4);
   EXPECT_EQ(o.bench_name, "bench_under_test");
   EXPECT_EQ(o.report_path, "/tmp/report.json");
   EXPECT_EQ(o.audit, "warn");
@@ -237,6 +235,32 @@ TEST(BenchCli, FinishOrUsageExitsTwoOnValidationError) {
   ASSERT_TRUE(bench::parse_or_usage(cli, 3, argv));
   EXPECT_EXIT(bench::finish_or_usage([&] { return flags.finish(); }),
               testing::ExitedWithCode(2), "--metrics-interval must be >= 1");
+}
+
+// --threads is the one parallelism setting: serial by default, the flags it
+// replaced are unknown, and a negative budget is a usage error.
+TEST(BenchCli, ThreadsIsTheOnlyParallelismFlag) {
+  {
+    Cli cli("bench under test");
+    bench::CommonFlags flags(cli, "bench_under_test", "4", 3);
+    const char* argv[] = {"prog"};
+    ASSERT_TRUE(bench::parse_or_usage(cli, 1, argv));
+    EXPECT_EQ(flags.finish().threads, 1);
+  }
+  for (const char* gone : {"--exec-mode", "--kernel-threads"}) {
+    Cli cli("bench under test");
+    bench::CommonFlags flags(cli, "bench_under_test", "4", 3);
+    const char* argv[] = {"prog", gone, "4"};
+    EXPECT_EXIT(bench::parse_or_usage(cli, 3, argv),
+                testing::ExitedWithCode(2),
+                std::string("unknown flag ") + gone);
+  }
+  Cli cli("bench under test");
+  bench::CommonFlags flags(cli, "bench_under_test", "4", 3);
+  const char* argv[] = {"prog", "--threads", "-2"};
+  ASSERT_TRUE(bench::parse_or_usage(cli, 3, argv));
+  EXPECT_EXIT(bench::finish_or_usage([&] { return flags.finish(); }),
+              testing::ExitedWithCode(2), "--threads must be >= 0");
 }
 
 TEST(BenchCli, FleetParkFlagReachesOptionsAndValidates) {

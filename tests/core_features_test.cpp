@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
 
 #include "core/autotune.hpp"
 #include "core/datasets.hpp"
@@ -32,6 +34,20 @@ ParallelConfig tiny_parallel(int nranks) {
 
 std::string temp_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+/// Overwrites one byte of the file at `path` in place.
+void poke(const std::string& path, std::streamoff at, unsigned char byte) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(at);
+  f.put(static_cast<char>(byte));
 }
 
 TEST(Checkpoint, RestartReproducesUninterruptedRun) {
@@ -65,22 +81,21 @@ TEST(Checkpoint, RestartReproducesUninterruptedRun) {
   std::filesystem::remove(path);
 }
 
-// ExecMode is deliberately NOT part of the checkpoint fingerprint: a run
-// saved under threaded execution restores into a sequential solver (and
-// vice versa) and still reproduces the uninterrupted run exactly, because
-// threading is bit-invisible (DESIGN.md §2c).
+// The thread budget is deliberately NOT part of the checkpoint fingerprint:
+// a run saved under rank dispatch (4 ranks on 3 lanes) restores into a
+// serial solver (and vice versa) and still reproduces the uninterrupted
+// run exactly, because threading is bit-invisible (DESIGN.md §2c).
 TEST(Checkpoint, ThreadedAndSequentialCheckpointsInterchange) {
   const SolverConfig cfg = tiny_config();
   ParallelConfig seq_par = tiny_parallel(4);
   ParallelConfig thr_par = seq_par;
-  thr_par.exec_mode = par::ExecMode::kThreaded;
-  thr_par.exec_threads = 3;
+  thr_par.threads = 3;
 
   // Reference: uninterrupted 10-step sequential run.
   CoupledSolver reference(cfg, seq_par);
   reference.run(10);
 
-  const std::string path = temp_path("dsmcpic_ckpt_exec_mode.bin");
+  const std::string path = temp_path("dsmcpic_ckpt_threads.bin");
 
   // Threaded save -> sequential restore.
   {
@@ -137,6 +152,47 @@ TEST(Checkpoint, RejectsGarbageFile) {
   }
   CoupledSolver solver(tiny_config(), tiny_parallel(2));
   EXPECT_THROW(solver.restore_checkpoint(path), Error);
+  std::filesystem::remove(path);
+}
+
+// A flipped high byte in a length prefix must end in dsmcpic::Error, not in
+// bad_alloc, length_error or an OOM kill. The first prefix (the owner map)
+// follows magic, version, fingerprint, step and steps-since-rebalance.
+TEST(Checkpoint, RejectsInflatedLengthPrefix) {
+  const std::string path = temp_path("dsmcpic_ckpt_inflated.bin");
+  CoupledSolver solver(tiny_config(), tiny_parallel(2));
+  solver.run(2);
+  constexpr std::streamoff kOwnerLength = 8 + 4 + 8 + 4 + 4;
+  // Byte 5 asks for ~2^40 cells (4 TiB); byte 7 = 0x01 for ~2^56 (whose
+  // size still fits 64 bits); byte 7 = 0xff overflows the byte count.
+  for (const auto& [byte, value] :
+       {std::pair{5, 0x01}, std::pair{7, 0x01}, std::pair{7, 0xff}}) {
+    SCOPED_TRACE("byte " + std::to_string(byte));
+    solver.save_checkpoint(path);
+    poke(path, kOwnerLength + byte, static_cast<unsigned char>(value));
+    CoupledSolver restored(tiny_config(), tiny_parallel(2));
+    EXPECT_THROW(restored.restore_checkpoint(path), Error);
+  }
+  std::filesystem::remove(path);
+}
+
+// Saves go through <path>.tmp + rename: when the tmp file cannot be
+// created, the save throws and the previous checkpoint is untouched.
+TEST(Checkpoint, FailedSaveLeavesPreviousCheckpointIntact) {
+  const std::string path = temp_path("dsmcpic_ckpt_atomic.bin");
+  std::filesystem::remove_all(path + ".tmp");
+  CoupledSolver solver(tiny_config(), tiny_parallel(2));
+  solver.run(2);
+  solver.save_checkpoint(path);
+  const std::string before = slurp(path);
+  ASSERT_FALSE(before.empty());
+  solver.run(2);
+  std::filesystem::create_directory(path + ".tmp");  // blocks the tmp file
+  EXPECT_THROW(solver.save_checkpoint(path), Error);
+  EXPECT_EQ(slurp(path), before);
+  std::filesystem::remove_all(path + ".tmp");
+  solver.save_checkpoint(path);
+  EXPECT_NE(slurp(path), before);
   std::filesystem::remove(path);
 }
 

@@ -1,7 +1,9 @@
-// Determinism harness for the threaded execution backend (DESIGN.md §2c):
-// kThreaded must be bit-identical to kSequential in every observable —
-// virtual clocks, per-phase PhaseStats, particle counts per rank, step
-// diagnostics, and the final potential. EXPECT_EQ on doubles throughout is
+// Determinism harness for the host thread budget (DESIGN.md §2c): every
+// `threads` value must be bit-identical to the serial run in every
+// observable — virtual clocks, per-phase PhaseStats, particle counts per
+// rank, step diagnostics, and the final potential — on both sides of the
+// dispatch rule (ranks > threads: rank bodies on the pool; otherwise:
+// kernel chunks on the pool). EXPECT_EQ on doubles throughout is
 // deliberate: the guarantee is bitwise, not approximate.
 
 #include <gtest/gtest.h>
@@ -34,9 +36,8 @@ struct RunResult {
   double total_time = 0.0;
 };
 
-RunResult run_solver(par::ExecMode mode, int nranks, int threads,
-                     exchange::Strategy strategy, bool balance_enabled,
-                     int steps, int kernel_threads = 1, int sort_every = 0,
+RunResult run_solver(int nranks, int threads, exchange::Strategy strategy,
+                     bool balance_enabled, int steps, int sort_every = 0,
                      balance::CostModelKind cost_model =
                          balance::CostModelKind::kStatic,
                      balance::PolicyKind policy =
@@ -48,9 +49,7 @@ RunResult run_solver(par::ExecMode mode, int nranks, int threads,
   par.balance.period = 4;
   par.balance.cost_model.kind = cost_model;
   par.balance.policy.kind = policy;
-  par.exec_mode = mode;
-  par.exec_threads = threads;
-  par.kernel_threads = kernel_threads;
+  par.threads = threads;
   SolverConfig cfg = tiny_config();
   cfg.sort_every = sort_every;
   CoupledSolver solver(cfg, par);
@@ -126,27 +125,23 @@ void expect_identical(const RunResult& a, const RunResult& b) {
   }
 }
 
-// The acceptance criterion of the execution backend: 10 steps at 8 ranks,
-// 4 worker lanes, rebalancing on — threaded must match sequential exactly.
+// Rank dispatch: 10 steps at 8 ranks on 4 lanes, rebalancing on, must
+// match the serial run exactly.
 TEST(Determinism, ThreadedMatchesSequentialBitwise) {
   const RunResult seq =
-      run_solver(par::ExecMode::kSequential, 8, 0,
-                 exchange::Strategy::kDistributed, /*balance=*/true, 10);
+      run_solver(8, 1, exchange::Strategy::kDistributed, /*balance=*/true, 10);
   const RunResult thr =
-      run_solver(par::ExecMode::kThreaded, 8, 4,
-                 exchange::Strategy::kDistributed, /*balance=*/true, 10);
+      run_solver(8, 4, exchange::Strategy::kDistributed, /*balance=*/true, 10);
   expect_identical(seq, thr);
 }
 
-// Two threaded runs with the same seed must also agree with each other
-// (schedule independence, not just seq/threaded agreement).
+// Two rank-dispatched runs with the same seed must also agree with each
+// other (schedule independence, not just serial/threaded agreement).
 TEST(Determinism, TwoThreadedRunsAgree) {
   const RunResult a =
-      run_solver(par::ExecMode::kThreaded, 8, 4,
-                 exchange::Strategy::kDistributed, /*balance=*/true, 10);
+      run_solver(8, 4, exchange::Strategy::kDistributed, /*balance=*/true, 10);
   const RunResult b =
-      run_solver(par::ExecMode::kThreaded, 8, 4,
-                 exchange::Strategy::kDistributed, /*balance=*/true, 10);
+      run_solver(8, 4, exchange::Strategy::kDistributed, /*balance=*/true, 10);
   expect_identical(a, b);
 }
 
@@ -154,60 +149,67 @@ TEST(Determinism, TwoThreadedRunsAgree) {
 // superstep bodies exercise a different communication shape), and is
 // independent of the lane count.
 TEST(Determinism, CentralizedExchangeAndOddLaneCount) {
-  const RunResult seq =
-      run_solver(par::ExecMode::kSequential, 6, 0,
-                 exchange::Strategy::kCentralized, /*balance=*/false, 6);
-  const RunResult thr3 =
-      run_solver(par::ExecMode::kThreaded, 6, 3,
-                 exchange::Strategy::kCentralized, /*balance=*/false, 6);
-  const RunResult thr2 =
-      run_solver(par::ExecMode::kThreaded, 6, 2,
-                 exchange::Strategy::kCentralized, /*balance=*/false, 6);
+  const RunResult seq = run_solver(6, 1, exchange::Strategy::kCentralized,
+                                   /*balance=*/false, 6);
+  const RunResult thr3 = run_solver(6, 3, exchange::Strategy::kCentralized,
+                                    /*balance=*/false, 6);
+  const RunResult thr2 = run_solver(6, 2, exchange::Strategy::kCentralized,
+                                    /*balance=*/false, 6);
   expect_identical(seq, thr3);
   expect_identical(thr3, thr2);
 }
 
-// Intra-rank kernel parallelism (DESIGN.md §2d): chunking move/collide/
-// react/deposit over a kernel pool must be bit-identical to serial kernels
-// in every observable, field for field.
+// threads in {1, 2, 4, 8} at a rank count on each side of the rule: at 3
+// ranks, 2 lanes dispatch ranks and 4 or 8 chunk kernels; at 8 ranks, 2 or
+// 4 lanes dispatch ranks and 8 chunk kernels.
+TEST(Determinism, EveryThreadCountMatchesSerialOnBothSidesOfTheRule) {
+  for (const int nranks : {3, 8}) {
+    const RunResult serial = run_solver(
+        nranks, 1, exchange::Strategy::kDistributed, /*balance=*/true, 6);
+    for (const int threads : {2, 4, 8}) {
+      SCOPED_TRACE("ranks=" + std::to_string(nranks) +
+                   " threads=" + std::to_string(threads));
+      expect_identical(serial,
+                       run_solver(nranks, threads,
+                                  exchange::Strategy::kDistributed,
+                                  /*balance=*/true, 6));
+    }
+  }
+}
+
+// Intra-rank kernel parallelism: with no more ranks than lanes (4 ranks on
+// 4 lanes), move/collide/react/deposit chunk across the pool, and that
+// must be bit-identical to serial kernels in every observable.
 TEST(KernelThreads, FourLanesMatchSerialBitwise) {
   const RunResult serial =
-      run_solver(par::ExecMode::kSequential, 8, 0,
-                 exchange::Strategy::kDistributed, /*balance=*/true, 10,
-                 /*kernel_threads=*/1);
+      run_solver(4, 1, exchange::Strategy::kDistributed, /*balance=*/true, 10);
   const RunResult kt4 =
-      run_solver(par::ExecMode::kSequential, 8, 0,
-                 exchange::Strategy::kDistributed, /*balance=*/true, 10,
-                 /*kernel_threads=*/4);
+      run_solver(4, 4, exchange::Strategy::kDistributed, /*balance=*/true, 10);
   expect_identical(serial, kt4);
 }
 
-// Both levels at once: threaded superstep dispatch on top of kernel chunking
-// (rank bodies share one kernel pool; its batches serialize internally).
-TEST(KernelThreads, ComposesWithThreadedExecMode) {
+// Both dispatch levels against serial at the same rank count: 8 ranks on 4
+// lanes dispatch rank bodies, on 8 lanes they chunk kernels.
+TEST(KernelThreads, BothDispatchLevelsMatchSerial) {
   const RunResult serial =
-      run_solver(par::ExecMode::kSequential, 8, 0,
-                 exchange::Strategy::kDistributed, /*balance=*/true, 10);
-  const RunResult both =
-      run_solver(par::ExecMode::kThreaded, 8, 4,
-                 exchange::Strategy::kDistributed, /*balance=*/true, 10,
-                 /*kernel_threads=*/2);
-  expect_identical(serial, both);
+      run_solver(8, 1, exchange::Strategy::kDistributed, /*balance=*/true, 10);
+  const RunResult ranks =
+      run_solver(8, 4, exchange::Strategy::kDistributed, /*balance=*/true, 10);
+  const RunResult kernels =
+      run_solver(8, 8, exchange::Strategy::kDistributed, /*balance=*/true, 10);
+  expect_identical(serial, ranks);
+  expect_identical(serial, kernels);
 }
 
-// Lane-count independence: the chunk boundaries differ between 2 and 4
+// Lane-count independence: the chunk boundaries differ between 6 and 8
 // lanes, so agreement shows the kernels are invariant under chunking, not
 // merely schedule-lucky.
 TEST(KernelThreads, LaneCountIndependence) {
-  const RunResult kt2 =
-      run_solver(par::ExecMode::kSequential, 6, 0,
-                 exchange::Strategy::kCentralized, /*balance=*/false, 6,
-                 /*kernel_threads=*/2);
-  const RunResult kt4 =
-      run_solver(par::ExecMode::kSequential, 6, 0,
-                 exchange::Strategy::kCentralized, /*balance=*/false, 6,
-                 /*kernel_threads=*/4);
-  expect_identical(kt2, kt4);
+  const RunResult kt6 = run_solver(6, 6, exchange::Strategy::kCentralized,
+                                   /*balance=*/false, 6);
+  const RunResult kt8 = run_solver(6, 8, exchange::Strategy::kCentralized,
+                                   /*balance=*/false, 6);
+  expect_identical(kt6, kt8);
 }
 
 // The periodic cell sort (DESIGN.md §2g) must be invisible in every
@@ -216,105 +218,99 @@ TEST(KernelThreads, LaneCountIndependence) {
 // sort, stable compactions, cell-major reindex ids, order-canonical
 // deposit — over multiple exchanges and rebalances.
 TEST(SortDeterminism, SortIntervalInvariance) {
-  const RunResult never =
-      run_solver(par::ExecMode::kSequential, 8, 0,
-                 exchange::Strategy::kDistributed, /*balance=*/true, 10,
-                 /*kernel_threads=*/1, /*sort_every=*/0);
-  const RunResult every =
-      run_solver(par::ExecMode::kSequential, 8, 0,
-                 exchange::Strategy::kDistributed, /*balance=*/true, 10,
-                 /*kernel_threads=*/1, /*sort_every=*/1);
-  const RunResult seven =
-      run_solver(par::ExecMode::kSequential, 8, 0,
-                 exchange::Strategy::kDistributed, /*balance=*/true, 10,
-                 /*kernel_threads=*/1, /*sort_every=*/7);
+  const RunResult never = run_solver(8, 1, exchange::Strategy::kDistributed,
+                                     /*balance=*/true, 10, /*sort_every=*/0);
+  const RunResult every = run_solver(8, 1, exchange::Strategy::kDistributed,
+                                     /*balance=*/true, 10, /*sort_every=*/1);
+  const RunResult seven = run_solver(8, 1, exchange::Strategy::kDistributed,
+                                     /*balance=*/true, 10, /*sort_every=*/7);
   expect_identical(never, every);
   expect_identical(every, seven);
 }
 
-// Sorting composed with both parallelism levels: a threaded-exec,
-// kernel-chunked, sorted run must match the serial never-sorted run.
+// Sorting composed with both dispatch levels: rank-dispatched and
+// kernel-chunked sorted runs must match the serial never-sorted run.
 TEST(SortDeterminism, SortComposesWithBothParallelismLevels) {
   const RunResult plain =
-      run_solver(par::ExecMode::kSequential, 8, 0,
-                 exchange::Strategy::kDistributed, /*balance=*/true, 10);
-  const RunResult sorted_parallel =
-      run_solver(par::ExecMode::kThreaded, 8, 4,
-                 exchange::Strategy::kDistributed, /*balance=*/true, 10,
-                 /*kernel_threads=*/4, /*sort_every=*/3);
-  expect_identical(plain, sorted_parallel);
+      run_solver(8, 1, exchange::Strategy::kDistributed, /*balance=*/true, 10);
+  for (const int threads : {4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_identical(plain, run_solver(8, threads,
+                                       exchange::Strategy::kDistributed,
+                                       /*balance=*/true, 10,
+                                       /*sort_every=*/3));
+  }
 }
 
 // Kernel-lane independence on sorted layouts: the cell-major order changes
-// which particles each chunk sees, so 2-vs-4-lane agreement on a sorted
+// which particles each chunk sees, so 6-vs-8-lane agreement on a sorted
 // store is a distinct claim from the unsorted LaneCountIndependence above.
 TEST(SortDeterminism, SortedLaneCountIndependence) {
-  const RunResult kt2 =
-      run_solver(par::ExecMode::kSequential, 6, 0,
-                 exchange::Strategy::kCentralized, /*balance=*/false, 6,
-                 /*kernel_threads=*/2, /*sort_every=*/1);
-  const RunResult kt4 =
-      run_solver(par::ExecMode::kSequential, 6, 0,
-                 exchange::Strategy::kCentralized, /*balance=*/false, 6,
-                 /*kernel_threads=*/4, /*sort_every=*/1);
-  expect_identical(kt2, kt4);
+  const RunResult kt6 = run_solver(6, 6, exchange::Strategy::kCentralized,
+                                   /*balance=*/false, 6, /*sort_every=*/1);
+  const RunResult kt8 = run_solver(6, 8, exchange::Strategy::kCentralized,
+                                   /*balance=*/false, 6, /*sort_every=*/1);
+  expect_identical(kt6, kt8);
 }
 
 // ---- Timer cost model + look-ahead policy (DESIGN.md §2h) ------------------
 // The cost model feeds measured virtual time back into the partition
 // weights, so any nondeterminism anywhere in the accounting would be
 // amplified into diverging decompositions. These runs must stay bitwise
-// identical — including the recorded decision sequences — across exec
-// modes, kernel lane counts, and sort intervals.
+// identical — including the recorded decision sequences — across thread
+// budgets and sort intervals.
 
 TEST(CostModelDeterminism, TimerThreadedMatchesSequentialBitwise) {
   const RunResult seq = run_solver(
-      par::ExecMode::kSequential, 8, 0, exchange::Strategy::kDistributed,
-      /*balance=*/true, 10, /*kernel_threads=*/1, /*sort_every=*/0,
-      balance::CostModelKind::kTimer, balance::PolicyKind::kLookahead);
+      8, 1, exchange::Strategy::kDistributed, /*balance=*/true, 10,
+      /*sort_every=*/0, balance::CostModelKind::kTimer,
+      balance::PolicyKind::kLookahead);
   const RunResult thr = run_solver(
-      par::ExecMode::kThreaded, 8, 4, exchange::Strategy::kDistributed,
-      /*balance=*/true, 10, /*kernel_threads=*/1, /*sort_every=*/0,
-      balance::CostModelKind::kTimer, balance::PolicyKind::kLookahead);
+      8, 4, exchange::Strategy::kDistributed, /*balance=*/true, 10,
+      /*sort_every=*/0, balance::CostModelKind::kTimer,
+      balance::PolicyKind::kLookahead);
   expect_identical(seq, thr);
   EXPECT_FALSE(seq.decisions.empty());
 }
 
 TEST(CostModelDeterminism, TimerKernelLaneAndSortInvariance) {
   const RunResult plain = run_solver(
-      par::ExecMode::kSequential, 8, 0, exchange::Strategy::kDistributed,
-      /*balance=*/true, 10, /*kernel_threads=*/1, /*sort_every=*/0,
-      balance::CostModelKind::kTimer, balance::PolicyKind::kLookahead);
-  const RunResult kt4_sorted = run_solver(
-      par::ExecMode::kSequential, 8, 0, exchange::Strategy::kDistributed,
-      /*balance=*/true, 10, /*kernel_threads=*/4, /*sort_every=*/3,
-      balance::CostModelKind::kTimer, balance::PolicyKind::kLookahead);
-  expect_identical(plain, kt4_sorted);
+      8, 1, exchange::Strategy::kDistributed, /*balance=*/true, 10,
+      /*sort_every=*/0, balance::CostModelKind::kTimer,
+      balance::PolicyKind::kLookahead);
+  const RunResult kt8_sorted = run_solver(
+      8, 8, exchange::Strategy::kDistributed, /*balance=*/true, 10,
+      /*sort_every=*/3, balance::CostModelKind::kTimer,
+      balance::PolicyKind::kLookahead);
+  expect_identical(plain, kt8_sorted);
 }
 
 TEST(CostModelDeterminism, HybridComposedParallelismInvariance) {
   const RunResult plain = run_solver(
-      par::ExecMode::kSequential, 6, 0, exchange::Strategy::kDistributed,
-      /*balance=*/true, 8, /*kernel_threads=*/1, /*sort_every=*/0,
-      balance::CostModelKind::kHybrid, balance::PolicyKind::kLookahead);
-  const RunResult both = run_solver(
-      par::ExecMode::kThreaded, 6, 3, exchange::Strategy::kDistributed,
-      /*balance=*/true, 8, /*kernel_threads=*/2, /*sort_every=*/1,
-      balance::CostModelKind::kHybrid, balance::PolicyKind::kLookahead);
-  expect_identical(plain, both);
+      6, 1, exchange::Strategy::kDistributed, /*balance=*/true, 8,
+      /*sort_every=*/0, balance::CostModelKind::kHybrid,
+      balance::PolicyKind::kLookahead);
+  for (const int threads : {3, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_identical(plain, run_solver(6, threads,
+                                       exchange::Strategy::kDistributed,
+                                       /*balance=*/true, 8, /*sort_every=*/1,
+                                       balance::CostModelKind::kHybrid,
+                                       balance::PolicyKind::kLookahead));
+  }
 }
 
 TEST(CostModelDeterminism, TimerRunsAreRepeatable) {
   // Two identical invocations: the decision sequence (and everything else)
   // must reproduce exactly — the policy consumes only virtual-time signals.
   const RunResult a = run_solver(
-      par::ExecMode::kThreaded, 8, 4, exchange::Strategy::kDistributed,
-      /*balance=*/true, 10, /*kernel_threads=*/2, /*sort_every=*/0,
-      balance::CostModelKind::kTimer, balance::PolicyKind::kLookahead);
+      8, 4, exchange::Strategy::kDistributed, /*balance=*/true, 10,
+      /*sort_every=*/0, balance::CostModelKind::kTimer,
+      balance::PolicyKind::kLookahead);
   const RunResult b = run_solver(
-      par::ExecMode::kThreaded, 8, 4, exchange::Strategy::kDistributed,
-      /*balance=*/true, 10, /*kernel_threads=*/2, /*sort_every=*/0,
-      balance::CostModelKind::kTimer, balance::PolicyKind::kLookahead);
+      8, 4, exchange::Strategy::kDistributed, /*balance=*/true, 10,
+      /*sort_every=*/0, balance::CostModelKind::kTimer,
+      balance::PolicyKind::kLookahead);
   expect_identical(a, b);
 }
 

@@ -1,6 +1,6 @@
 // Elastic rank ensembles (DESIGN.md §2i): the EnsemblePolicy unit battery
-// plus solver-level grow/shrink/park behavior, exec-mode bit-identity of an
-// elastic run, NC-vs-DC physics equivalence, and the v4 checkpoint
+// plus solver-level grow/shrink/park behavior, thread-budget bit-identity
+// of an elastic run, NC-vs-DC physics equivalence, and the v4 checkpoint
 // round-trip of ensemble state.
 
 #include <gtest/gtest.h>
@@ -161,8 +161,7 @@ core::ParallelConfig make_par(int nranks, EnsembleKind kind, int initial = 0,
                               int ranks_min = 1,
                               exchange::Strategy strategy =
                                   exchange::Strategy::kDistributed,
-                              par::ExecMode mode = par::ExecMode::kSequential,
-                              int threads = 0) {
+                              int threads = 1) {
   core::ParallelConfig par;
   par.nranks = nranks;
   par.strategy = strategy;
@@ -171,8 +170,7 @@ core::ParallelConfig make_par(int nranks, EnsembleKind kind, int initial = 0,
   par.balance.ensemble.kind = kind;
   par.balance.ensemble.initial = initial;
   par.balance.ensemble.ranks_min = ranks_min;
-  par.exec_mode = mode;
-  par.exec_threads = threads;
+  par.threads = threads;
   return par;
 }
 
@@ -214,12 +212,15 @@ TEST(EnsembleSolver, ElasticShrinksOverheadDominatedRun) {
   EXPECT_GT(solver.total_particles(), 0);
 }
 
-TEST(EnsembleSolver, ElasticRunIsBitIdenticalAcrossExecModes) {
-  auto run = [](par::ExecMode mode, int threads) {
+// The elastic run shrinks from 12 active ranks to at most 4, so at 4 and 8
+// lanes one solver crosses the dispatch rule mid-run: rank bodies on the
+// pool while active > threads, kernel chunks on the pool after.
+TEST(EnsembleSolver, ElasticRunIsBitIdenticalAcrossThreadCounts) {
+  auto run = [](int threads) {
     core::CoupledSolver solver(
         tiny_config(),
         make_par(12, EnsembleKind::kElastic, 0, 2,
-                 exchange::Strategy::kDistributed, mode, threads));
+                 exchange::Strategy::kDistributed, threads));
     solver.run(8);
     struct Out {
       std::vector<double> clocks;
@@ -238,14 +239,18 @@ TEST(EnsembleSolver, ElasticRunIsBitIdenticalAcrossExecModes) {
     o.total = solver.runtime().total_time();
     return o;
   };
-  const auto seq = run(par::ExecMode::kSequential, 0);
-  const auto thr = run(par::ExecMode::kThreaded, 4);
-  EXPECT_EQ(seq.clocks, thr.clocks);
-  EXPECT_EQ(seq.per_rank, thr.per_rank);
-  EXPECT_EQ(seq.potential, thr.potential);
-  EXPECT_EQ(seq.active, thr.active);
-  EXPECT_EQ(seq.resizes, thr.resizes);
-  EXPECT_EQ(seq.total, thr.total);
+  const auto seq = run(1);
+  EXPECT_LE(seq.active, 4) << "the run never crossed the dispatch rule";
+  for (const int threads : {4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto thr = run(threads);
+    EXPECT_EQ(seq.clocks, thr.clocks);
+    EXPECT_EQ(seq.per_rank, thr.per_rank);
+    EXPECT_EQ(seq.potential, thr.potential);
+    EXPECT_EQ(seq.active, thr.active);
+    EXPECT_EQ(seq.resizes, thr.resizes);
+    EXPECT_EQ(seq.total, thr.total);
+  }
 }
 
 TEST(EnsembleSolver, NeighborStrategyMatchesDistributedPhysics) {

@@ -298,6 +298,35 @@ TEST(Fleet, PreemptResumeBitIdenticalThroughCheckpointV4) {
   EXPECT_FALSE(fs::exists(parked_dir + "/lease.bin"));
 }
 
+// A flipped high byte in the lease sidecar's first length prefix (the schema
+// string) must end in dsmcpic::Error from add_resume, not in an allocation
+// of ~2^56 bytes.
+TEST(Fleet, ResumeRejectsInflatedLeaseLength) {
+  const std::string base = temp_dir("fleet_test_inflated_lease");
+  std::string parked_dir;
+  {
+    FleetOptions fo;
+    fo.slots = 1;
+    fo.results_dir = base;
+    FleetRunner runner(fo);
+    FleetJob j;
+    j.scenario = "reentry";
+    j.park_at = 1;
+    parked_dir = base + "/" + runner.add(j);
+    ASSERT_EQ(runner.run_all()[0].state, RunState::kParked);
+  }
+  {
+    std::fstream f(parked_dir + "/lease.bin",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(7);
+    f.put(static_cast<char>(0x01));
+  }
+  FleetOptions fo;
+  fo.results_dir = base + "/other";
+  FleetRunner runner(fo);
+  EXPECT_THROW(runner.add_resume(parked_dir), Error);
+}
+
 // ---------------------------------------------------------------------------
 // GoldenCorpus: one pinned canonical digest per scenario (canonical_parallel,
 // default steps/ranks, seed 42). On an intentional physics change, update

@@ -46,7 +46,7 @@ SolverConfig tiny_config() {
 }
 
 std::uint64_t run_digest(exchange::Strategy strategy, bool balance_enabled,
-                         int kernel_threads = 1, bool traced = false,
+                         int threads = 1, bool traced = false,
                          bool audited = false, int sort_every = 0,
                          balance::CostModelKind cost_model =
                              balance::CostModelKind::kStatic,
@@ -60,7 +60,7 @@ std::uint64_t run_digest(exchange::Strategy strategy, bool balance_enabled,
   par.balance.period = 3;
   par.balance.cost_model.kind = cost_model;
   par.balance.policy.kind = policy;
-  par.kernel_threads = kernel_threads;
+  par.threads = threads;
   obs::HealthAuditor auditor({obs::AuditSeverity::kAbort});
   obs::HostProfiler prof;
   SolverConfig cfg = tiny_config();
@@ -139,10 +139,11 @@ TEST(Golden, CentralizedNoRebalance) {
 
 // Intra-rank kernel parallelism must hit the SAME golden value as the
 // serial-kernel run — the knob is required to be invisible in every digest
-// input (diagnostics and virtual clocks alike).
+// input (diagnostics and virtual clocks alike). 6 ranks on 8 lanes: every
+// superstep runs its bodies on the caller and chunks kernels on the pool.
 TEST(Golden, KernelThreadsFourMatchesSerialGolden) {
   const std::uint64_t got = run_digest(exchange::Strategy::kDistributed,
-                                       /*balance=*/true, /*kernel_threads=*/4);
+                                       /*balance=*/true, /*threads=*/8);
   EXPECT_EQ(got, kGoldenDcBalanced)
       << "new digest: 0x" << std::hex << got << "ULL";
 }
@@ -152,7 +153,7 @@ TEST(Golden, KernelThreadsFourMatchesSerialGolden) {
 TEST(Golden, TraceEnabledMatchesSerialGolden) {
   const std::uint64_t got =
       run_digest(exchange::Strategy::kDistributed, /*balance=*/true,
-                 /*kernel_threads=*/1, /*traced=*/true);
+                 /*threads=*/1, /*traced=*/true);
   EXPECT_EQ(got, kGoldenDcBalanced)
       << "new digest: 0x" << std::hex << got << "ULL";
 }
@@ -163,7 +164,7 @@ TEST(Golden, TraceEnabledMatchesSerialGolden) {
 TEST(Golden, AuditsEnabledMatchSerialGolden) {
   const std::uint64_t got =
       run_digest(exchange::Strategy::kDistributed, /*balance=*/true,
-                 /*kernel_threads=*/1, /*traced=*/false, /*audited=*/true);
+                 /*threads=*/1, /*traced=*/false, /*audited=*/true);
   EXPECT_EQ(got, kGoldenDcBalanced)
       << "new digest: 0x" << std::hex << got << "ULL";
 }
@@ -175,7 +176,7 @@ TEST(Golden, AuditsEnabledMatchSerialGolden) {
 TEST(Golden, TelemetryEnabledMatchesSerialGolden) {
   const std::uint64_t got =
       run_digest(exchange::Strategy::kDistributed, /*balance=*/true,
-                 /*kernel_threads=*/1, /*traced=*/false, /*audited=*/true,
+                 /*threads=*/1, /*traced=*/false, /*audited=*/true,
                  /*sort_every=*/0, balance::CostModelKind::kStatic,
                  balance::PolicyKind::kThreshold, /*telemetry=*/true);
   EXPECT_EQ(got, kGoldenDcBalanced)
@@ -190,19 +191,20 @@ TEST(Golden, TelemetryEnabledMatchesSerialGolden) {
 TEST(Golden, SortEveryStepMatchesUnsortedGolden) {
   const std::uint64_t got =
       run_digest(exchange::Strategy::kDistributed, /*balance=*/true,
-                 /*kernel_threads=*/1, /*traced=*/false, /*audited=*/false,
+                 /*threads=*/1, /*traced=*/false, /*audited=*/false,
                  /*sort_every=*/1);
   EXPECT_EQ(got, kGoldenDcBalanced)
       << "new digest: 0x" << std::hex << got << "ULL";
 }
 
-// An odd sort period composed with kernel threads — both knobs at once must
-// still be invisible (sorting changes the store order the kernels chunk
-// over, so this exercises chunk-boundary independence on sorted layouts).
+// An odd sort period composed with kernel chunking (6 ranks on 8 lanes) —
+// both knobs at once must still be invisible (sorting changes the store
+// order the kernels chunk over, so this exercises chunk-boundary
+// independence on sorted layouts).
 TEST(Golden, SortEverySevenWithKernelThreadsMatchesGolden) {
   const std::uint64_t got =
       run_digest(exchange::Strategy::kDistributed, /*balance=*/true,
-                 /*kernel_threads=*/4, /*traced=*/false, /*audited=*/false,
+                 /*threads=*/8, /*traced=*/false, /*audited=*/false,
                  /*sort_every=*/7);
   EXPECT_EQ(got, kGoldenDcBalanced)
       << "new digest: 0x" << std::hex << got << "ULL";
@@ -213,7 +215,7 @@ TEST(Golden, SortEverySevenWithKernelThreadsMatchesGolden) {
 TEST(Golden, SortedCentralizedMatchesUnsortedGolden) {
   const std::uint64_t got =
       run_digest(exchange::Strategy::kCentralized, /*balance=*/false,
-                 /*kernel_threads=*/1, /*traced=*/false, /*audited=*/false,
+                 /*threads=*/1, /*traced=*/false, /*audited=*/false,
                  /*sort_every=*/2);
   EXPECT_EQ(got, kGoldenCcUnbalanced)
       << "new digest: 0x" << std::hex << got << "ULL";
@@ -233,7 +235,7 @@ constexpr std::uint64_t kGoldenDcTimerLookahead = 0x95971dad00b61899ULL;
 TEST(GoldenCostModel, ExplicitStaticMatchesOriginalGolden) {
   const std::uint64_t got =
       run_digest(exchange::Strategy::kDistributed, /*balance=*/true,
-                 /*kernel_threads=*/1, /*traced=*/false, /*audited=*/false,
+                 /*threads=*/1, /*traced=*/false, /*audited=*/false,
                  /*sort_every=*/0, balance::CostModelKind::kStatic,
                  balance::PolicyKind::kThreshold);
   EXPECT_EQ(got, kGoldenDcBalanced)
@@ -243,20 +245,21 @@ TEST(GoldenCostModel, ExplicitStaticMatchesOriginalGolden) {
 TEST(GoldenCostModel, TimerLookaheadIsReproducible) {
   const std::uint64_t got =
       run_digest(exchange::Strategy::kDistributed, /*balance=*/true,
-                 /*kernel_threads=*/1, /*traced=*/false, /*audited=*/false,
+                 /*threads=*/1, /*traced=*/false, /*audited=*/false,
                  /*sort_every=*/0, balance::CostModelKind::kTimer,
                  balance::PolicyKind::kLookahead);
   EXPECT_EQ(got, kGoldenDcTimerLookahead)
       << "new digest: 0x" << std::hex << got << "ULL";
 }
 
-// The determinism contract across execution knobs, in golden form: kernel
-// chunking and the periodic sort must be invisible to the timer-fed
+// The determinism contract across thread budgets, in golden form: kernel
+// chunking (6 ranks on 8 lanes) and, below, rank dispatch (6 ranks on 2
+// lanes) with the periodic sort must be invisible to the timer-fed
 // trajectory too (the corrections are pure virtual-time functions).
 TEST(GoldenCostModel, TimerKernelThreadsMatchesTimerGolden) {
   const std::uint64_t got =
       run_digest(exchange::Strategy::kDistributed, /*balance=*/true,
-                 /*kernel_threads=*/4, /*traced=*/false, /*audited=*/false,
+                 /*threads=*/8, /*traced=*/false, /*audited=*/false,
                  /*sort_every=*/0, balance::CostModelKind::kTimer,
                  balance::PolicyKind::kLookahead);
   EXPECT_EQ(got, kGoldenDcTimerLookahead)
@@ -266,7 +269,7 @@ TEST(GoldenCostModel, TimerKernelThreadsMatchesTimerGolden) {
 TEST(GoldenCostModel, TimerSortedMatchesTimerGolden) {
   const std::uint64_t got =
       run_digest(exchange::Strategy::kDistributed, /*balance=*/true,
-                 /*kernel_threads=*/2, /*traced=*/false, /*audited=*/false,
+                 /*threads=*/2, /*traced=*/false, /*audited=*/false,
                  /*sort_every=*/2, balance::CostModelKind::kTimer,
                  balance::PolicyKind::kLookahead);
   EXPECT_EQ(got, kGoldenDcTimerLookahead)

@@ -4,7 +4,7 @@
 // end-to-end claims: a fault-injected solver run flags EXACTLY the
 // invariant the fault breaks, and attaching auditor + profiler perturbs
 // nothing (bit-identical diagnostics and virtual clocks, audits on or
-// off, across exec modes and kernel-thread counts).
+// off, at both dispatch levels of the thread budget).
 
 #include <gtest/gtest.h>
 
@@ -334,9 +334,8 @@ std::uint64_t history_digest(const CoupledSolver& solver) {
 
 RunOutcome run_solver(bool audited, obs::AuditSeverity severity,
                       FaultInjection fault = FaultInjection::kNone,
-                      par::ExecMode mode = par::ExecMode::kSequential,
-                      int exec_threads = 0, int kernel_threads = 1,
-                      int steps = 6, double threshold = 0.0) {
+                      int threads = 1, int steps = 6,
+                      double threshold = 0.0) {
   SolverConfig cfg = tiny_config();
   cfg.fault = fault;
   ParallelConfig par;
@@ -344,9 +343,7 @@ RunOutcome run_solver(bool audited, obs::AuditSeverity severity,
   par.balance.enabled = true;
   par.balance.period = 3;
   if (threshold > 0.0) par.balance.threshold = threshold;
-  par.exec_mode = mode;
-  par.exec_threads = exec_threads;
-  par.kernel_threads = kernel_threads;
+  par.threads = threads;
   obs::HealthAuditor auditor({severity});
   obs::HostProfiler prof;
   CoupledSolver solver(cfg, par);
@@ -403,8 +400,7 @@ TEST(AuditFaults, SkewRebalanceCostFlagsExactlyRebalanceCost) {
   const RunOutcome out = run_solver(/*audited=*/true,
                                     obs::AuditSeverity::kCountOnly,
                                     FaultInjection::kSkewRebalanceCost,
-                                    par::ExecMode::kSequential,
-                                    /*exec_threads=*/0, /*kernel_threads=*/1,
+                                    /*threads=*/1,
                                     /*steps=*/14, /*threshold=*/1.01);
   EXPECT_GT(violations_of(out.audit, obs::Invariant::kRebalanceCost), 0);
   for (const obs::Invariant inv :
@@ -422,8 +418,7 @@ TEST(AuditFaults, SkewRebalanceCostFlagsExactlyRebalanceCost) {
   const RunOutcome clean = run_solver(/*audited=*/false,
                                       obs::AuditSeverity::kCountOnly,
                                       FaultInjection::kNone,
-                                      par::ExecMode::kSequential,
-                                      /*exec_threads=*/0, /*kernel_threads=*/1,
+                                      /*threads=*/1,
                                       /*steps=*/14, /*threshold=*/1.01);
   EXPECT_EQ(out.digest, clean.digest);
 }
@@ -434,8 +429,7 @@ TEST(AuditFaults, CleanRunPassesRebalanceCostInvariant) {
   const RunOutcome out = run_solver(/*audited=*/true,
                                     obs::AuditSeverity::kCountOnly,
                                     FaultInjection::kNone,
-                                    par::ExecMode::kSequential,
-                                    /*exec_threads=*/0, /*kernel_threads=*/1,
+                                    /*threads=*/1,
                                     /*steps=*/14, /*threshold=*/1.01);
   EXPECT_EQ(violations_of(out.audit, obs::Invariant::kRebalanceCost), 0);
   EXPECT_GT(out.audit.by_invariant[static_cast<int>(
@@ -462,16 +456,19 @@ TEST(AuditPerturbation, AuditsAndProfilerAreInvisibleInDigests) {
   EXPECT_GT(audited.profile_samples, 0);
 }
 
+// 6 ranks on 4 lanes dispatch rank bodies; on 8 lanes they chunk kernels.
 TEST(AuditPerturbation, HoldsUnderThreadedExecAndKernelThreads) {
   const RunOutcome plain =
       run_solver(/*audited=*/false, obs::AuditSeverity::kAbort);
-  const RunOutcome audited =
-      run_solver(/*audited=*/true, obs::AuditSeverity::kAbort,
-                 FaultInjection::kNone, par::ExecMode::kThreaded,
-                 /*exec_threads=*/4, /*kernel_threads=*/2);
-  EXPECT_EQ(audited.digest, plain.digest);
-  EXPECT_EQ(audited.audit.violations(), 0);
-  EXPECT_GT(audited.profile_samples, 0);
+  for (const int threads : {4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const RunOutcome audited =
+        run_solver(/*audited=*/true, obs::AuditSeverity::kAbort,
+                   FaultInjection::kNone, threads);
+    EXPECT_EQ(audited.digest, plain.digest);
+    EXPECT_EQ(audited.audit.violations(), 0);
+    EXPECT_GT(audited.profile_samples, 0);
+  }
 }
 
 // ---- RunReport --------------------------------------------------------------
@@ -485,8 +482,7 @@ obs::RunReport sample_report(const obs::AuditReport* audit,
   rep.config.steps = 8;
   rep.config.machine = "tianhe2";
   rep.config.seed = 42;
-  rep.config.exec_mode = "sequential";
-  rep.config.kernel_threads = 1;
+  rep.config.threads = 1;
   rep.config.strategy = "dc";
   rep.config.balance = true;
   rep.config.audit_severity = audit ? "warn" : "off";

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "par/machine.hpp"
@@ -280,11 +281,10 @@ TEST(Runtime, ChargeRankOutsideSuperstep) {
 // messages sorted by source rank, ties broken by the order the source sent
 // them ("src-major, send-order"). This is what the sequential 0..N-1
 // schedule always produced; the per-sender staging buffers preserve it
-// under threaded execution by merging buffers in rank order.
+// under rank dispatch (4 ranks > 3 lanes) by merging buffers in rank order.
 TEST(Runtime, InboxOrderingIsSrcMajorSendOrder) {
-  for (const ExecMode mode : {ExecMode::kSequential, ExecMode::kThreaded}) {
-    Runtime rt(4, Topology(MachineProfile::tianhe2(), 4), 1.0, 1.0,
-               ExecOptions{mode, 3});
+  for (const int threads : {1, 3}) {
+    Runtime rt(4, Topology(MachineProfile::tianhe2(), 4), 1.0, 1.0, threads);
     rt.superstep("send", [](Comm& c) {
       // Every rank sends two tagged messages to rank 0, second one first to
       // a different destination so buffers interleave destinations too.
@@ -313,12 +313,11 @@ TEST(Runtime, InboxOrderingIsSrcMajorSendOrder) {
   }
 }
 
-// Threaded dispatch must be invisible in every accounted number: same
-// clocks (bitwise), same phase stats, same message costs.
+// Rank dispatch (8 ranks > 4 lanes) must be invisible in every accounted
+// number: same clocks (bitwise), same phase stats, same message costs.
 TEST(Runtime, ThreadedSuperstepsMatchSequentialBitwise) {
-  auto run = [](ExecMode mode) {
-    Runtime rt(8, Topology(MachineProfile::tianhe2(), 8), 3.0, 2.0,
-               ExecOptions{mode, 4});
+  auto run = [](int threads) {
+    Runtime rt(8, Topology(MachineProfile::tianhe2(), 8), 3.0, 2.0, threads);
     for (int s = 0; s < 6; ++s) {
       rt.superstep("work", [s](Comm& c) {
         c.charge(WorkKind::kMove, 137.0 * (c.rank() + 1) + s);
@@ -338,8 +337,8 @@ TEST(Runtime, ThreadedSuperstepsMatchSequentialBitwise) {
     rt.barrier("end");
     return rt;
   };
-  const Runtime a = run(ExecMode::kSequential);
-  const Runtime b = run(ExecMode::kThreaded);
+  const Runtime a = run(1);
+  const Runtime b = run(4);
   for (int r = 0; r < a.size(); ++r) EXPECT_EQ(a.clock(r), b.clock(r));
   ASSERT_EQ(a.phases(), b.phases());
   for (const auto& p : a.phases()) {
@@ -356,12 +355,50 @@ TEST(Runtime, ThreadedSuperstepsMatchSequentialBitwise) {
 
 TEST(Runtime, ThreadedExposesLaneCount) {
   Runtime seq = make_runtime(4);
-  EXPECT_EQ(seq.exec_mode(), ExecMode::kSequential);
-  EXPECT_EQ(seq.exec_threads(), 1);
-  Runtime thr(4, Topology(MachineProfile::tianhe2(), 4), 1.0, 1.0,
-              ExecOptions{ExecMode::kThreaded, 3});
-  EXPECT_EQ(thr.exec_mode(), ExecMode::kThreaded);
-  EXPECT_EQ(thr.exec_threads(), 3);
+  EXPECT_EQ(seq.threads(), 1);
+  EXPECT_EQ(seq.pool(), nullptr);
+  Runtime thr(4, Topology(MachineProfile::tianhe2(), 4), 1.0, 1.0, 3);
+  EXPECT_EQ(thr.threads(), 3);
+  ASSERT_NE(thr.pool(), nullptr);
+  EXPECT_EQ(thr.pool()->num_threads(), 3);
+  EXPECT_THROW(Runtime(4, Topology(MachineProfile::tianhe2(), 4), 1.0, 1.0,
+                       -1),
+               Error);
+}
+
+// The thread-budget rule, kernel side: with no more active ranks than
+// lanes, every body runs on the calling thread in rank order, so kernels
+// inside the bodies own the whole pool.
+TEST(Runtime, FewerRanksThanLanesRunBodiesOnTheCaller) {
+  Runtime rt(3, Topology(MachineProfile::tianhe2(), 3), 1.0, 1.0, 4);
+  ASSERT_EQ(rt.threads(), 4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  rt.superstep("bodies", [&](Comm& c) {
+    EXPECT_EQ(std::this_thread::get_id(), caller) << "rank " << c.rank();
+    EXPECT_FALSE(rt.pool()->in_batch()) << "rank " << c.rank();
+    order.push_back(c.rank());
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+// The rank side: with more active ranks than lanes, bodies run inside the
+// pool's batch, where a kernel's nested parallel_for runs inline.
+TEST(Runtime, MoreRanksThanLanesRunBodiesOnThePool) {
+  Runtime rt(6, Topology(MachineProfile::tianhe2(), 6), 1.0, 1.0, 2);
+  std::vector<int> in_batch(6, 0);
+  rt.superstep("bodies", [&](Comm& c) {
+    in_batch[c.rank()] = rt.pool()->in_batch() ? 1 : 0;
+  });
+  EXPECT_EQ(in_batch, std::vector<int>(6, 1));
+  // Shrinking the active set to the lane count flips the same runtime to
+  // caller-side bodies.
+  rt.set_active_ranks(2);
+  rt.superstep("bodies", [&](Comm& c) {
+    in_batch[c.rank()] = rt.pool()->in_batch() ? 1 : 0;
+  });
+  EXPECT_EQ(in_batch[0], 0);
+  EXPECT_EQ(in_batch[1], 0);
 }
 
 TEST(Runtime, HintInsideSuperstepBodyThrows) {
@@ -514,15 +551,6 @@ TEST(Runtime, SuperstepCounterCounts) {
   rt.superstep("a", [](Comm&) {});
   rt.superstep("b", [](Comm&) {});
   EXPECT_EQ(rt.supersteps(), 2u);
-}
-
-TEST(ExecMode, ParseAndName) {
-  EXPECT_EQ(parse_exec_mode("seq"), ExecMode::kSequential);
-  EXPECT_EQ(parse_exec_mode("sequential"), ExecMode::kSequential);
-  EXPECT_EQ(parse_exec_mode("threaded"), ExecMode::kThreaded);
-  EXPECT_THROW(parse_exec_mode("gpu"), Error);
-  EXPECT_STREQ(exec_mode_name(ExecMode::kThreaded), "threaded");
-  EXPECT_STREQ(exec_mode_name(ExecMode::kSequential), "seq");
 }
 
 TEST(MachineProfiles, ThreePlatformsDiffer) {

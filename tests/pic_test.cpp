@@ -237,7 +237,8 @@ TEST(Deposit, BlockedParallelMatchesSerialBitwise) {
   EXPECT_GT(st0.deposited, 4096);
 
   for (const int lanes : {2, 4}) {
-    const support::KernelExec exec(lanes);
+    support::ThreadPool pool(lanes);
+    const support::KernelExec exec(&pool);
     DepositScratch scratch;
     std::vector<double> parallel(all_nodes.size(), 0.0);
     const DepositStats st = deposit_charge(store, fg, table, all_nodes, {},

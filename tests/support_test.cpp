@@ -2,12 +2,16 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
+#include <sstream>
+#include <thread>
 #include <vector>
 
 #include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/kernel_exec.hpp"
 #include "support/rng.hpp"
+#include "support/serialize.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
@@ -205,8 +209,8 @@ TEST(ThreadPool, DefaultsToHardwareConcurrency) {
   EXPECT_GE(pool.num_threads(), 1);
 }
 
-// Two-level dispatch rule 1: a nested parallel_for on the SAME pool runs
-// inline instead of deadlocking on the batch mutex.
+// Dispatch rule 1: a nested parallel_for on the SAME pool runs inline
+// instead of deadlocking on the batch mutex.
 TEST(ThreadPool, NestedCallRunsInline) {
   support::ThreadPool pool(3);
   std::atomic<int> inner{0};
@@ -216,9 +220,8 @@ TEST(ThreadPool, NestedCallRunsInline) {
   EXPECT_EQ(inner.load(), 30);
 }
 
-// Two-level dispatch rule 2: concurrent external callers serialize their
-// batches — here superstep-style bodies on one pool all fan out onto a
-// second, shared kernel pool.
+// Dispatch rule 2: concurrent external callers serialize their batches —
+// here bodies running on one pool all fan out onto a second pool.
 TEST(ThreadPool, ConcurrentExternalBatchesSerialize) {
   support::ThreadPool ranks(4);
   support::ThreadPool kernels(2);
@@ -230,7 +233,7 @@ TEST(ThreadPool, ConcurrentExternalBatchesSerialize) {
 }
 
 TEST(KernelExec, SerialExecutorRunsOneChunkInline) {
-  support::KernelExec exec(1);
+  const support::KernelExec exec;
   EXPECT_TRUE(exec.serial());
   EXPECT_EQ(exec.num_chunks(1000), 1);
   int calls = 0;
@@ -247,7 +250,8 @@ TEST(KernelExec, SerialExecutorRunsOneChunkInline) {
 }
 
 TEST(KernelExec, ChunksExactlyCoverTheRange) {
-  support::KernelExec exec(4);
+  support::ThreadPool pool(4);
+  const support::KernelExec exec(&pool);
   EXPECT_FALSE(exec.serial());
   for (const std::int64_t n : {2LL, 7LL, 64LL, 1000LL}) {
     const int nc = exec.num_chunks(n);
@@ -261,6 +265,64 @@ TEST(KernelExec, ChunksExactlyCoverTheRange) {
     });
     for (std::int64_t i = 0; i < n; ++i)
       EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
+  }
+}
+
+// A kernel called from inside one of the pool's batches (a rank body under
+// rank dispatch) runs its one-chunk inline path on that lane; the same
+// view chunks across the pool when called from outside.
+TEST(KernelExec, InsideThePoolsBatchRunsOneChunkInline) {
+  support::ThreadPool pool(4);
+  const support::KernelExec exec(&pool);
+  EXPECT_EQ(exec.threads(), 4);
+  EXPECT_GT(exec.num_chunks(1000), 1);
+  std::atomic<int> chunks{0}, inline_chunks{0};
+  pool.parallel_for(8, [&](int) {
+    EXPECT_TRUE(exec.serial());
+    EXPECT_EQ(exec.num_chunks(1000), 1);
+    const std::thread::id body = std::this_thread::get_id();
+    exec.for_chunks(1000, [&](int c, std::int64_t b, std::int64_t e) {
+      chunks.fetch_add(1);
+      if (c == 0 && b == 0 && e == 1000 &&
+          std::this_thread::get_id() == body)
+        inline_chunks.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(chunks.load(), 8);
+  EXPECT_EQ(inline_chunks.load(), 8);
+  support::ThreadPool one_lane(1);
+  EXPECT_TRUE(support::KernelExec(&one_lane).serial());
+}
+
+// Length prefixes are checked against the bytes left in the stream before
+// anything is allocated: a corrupt one is a dsmcpic::Error.
+TEST(Serialize, LengthPrefixBoundedByBytesLeft) {
+  const auto stream_with = [](std::uint64_t n, std::size_t payload) {
+    std::stringstream ss;
+    io::write_pod(ss, n);
+    ss << std::string(payload, 'x');
+    return ss;
+  };
+  {
+    std::stringstream ss = stream_with(3, 3);
+    EXPECT_EQ(io::read_string(ss), "xxx");
+  }
+  {
+    std::stringstream ss = stream_with(2, 16);
+    EXPECT_EQ(io::read_vec<std::uint64_t>(ss).size(), 2u);
+  }
+  {
+    std::stringstream ss = stream_with(3, 16);  // 24 bytes wanted, 16 left
+    EXPECT_THROW(io::read_vec<std::uint64_t>(ss), Error);
+  }
+  {
+    std::stringstream ss = stream_with(std::uint64_t{1} << 56, 8);
+    EXPECT_THROW(io::read_string(ss), Error);
+  }
+  {
+    std::stringstream ss =
+        stream_with(std::numeric_limits<std::uint64_t>::max() / 2, 8);
+    EXPECT_THROW(io::read_vec<double>(ss), Error);  // size overflows
   }
 }
 

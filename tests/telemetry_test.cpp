@@ -76,9 +76,7 @@ SolverConfig tiny_config() {
 }
 
 struct Knobs {
-  par::ExecMode mode = par::ExecMode::kSequential;
-  int exec_threads = 0;
-  int kernel_threads = 1;
+  int threads = 1;
   int sort_every = 8;
 };
 
@@ -130,9 +128,7 @@ std::string faulted_postmortem(FaultInjection fault, const Knobs& k,
   // Aggressive trigger so kSkewRebalanceCost (which only fires on an
   // actual rebalance) trips within the step budget.
   par.balance.threshold = 1.01;
-  par.exec_mode = k.mode;
-  par.exec_threads = k.exec_threads;
-  par.kernel_threads = k.kernel_threads;
+  par.threads = k.threads;
   obs::TelemetryConfig tc;
   tc.metrics_interval = 4;
   tc.flight_recorder = 4;
@@ -197,15 +193,16 @@ TEST_P(PostmortemFaults, BytesIdenticalAcrossExecKnobs) {
   const FaultInjection fault = GetParam();
   const std::string base = ::testing::TempDir() + "telemetry_pm_" +
                            std::to_string(static_cast<int>(fault));
-  const std::string a = faulted_postmortem(
-      fault, Knobs{par::ExecMode::kSequential, 0, 1, 8}, base + "_a");
-  const std::string b = faulted_postmortem(
-      fault, Knobs{par::ExecMode::kThreaded, 4, 4, 3}, base + "_b");
-  const std::string c = faulted_postmortem(
-      fault, Knobs{par::ExecMode::kSequential, 0, 2, 0}, base + "_c");
+  // 6 ranks: 4 lanes dispatch rank bodies, 8 lanes chunk kernels.
+  const std::string a =
+      faulted_postmortem(fault, Knobs{1, 8}, base + "_a");
+  const std::string b =
+      faulted_postmortem(fault, Knobs{4, 3}, base + "_b");
+  const std::string c =
+      faulted_postmortem(fault, Knobs{8, 0}, base + "_c");
   EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a, b) << "postmortem depends on exec mode / kernel threads";
-  EXPECT_EQ(a, c) << "postmortem depends on sort_every";
+  EXPECT_EQ(a, b) << "postmortem depends on rank dispatch / sort_every";
+  EXPECT_EQ(a, c) << "postmortem depends on kernel chunking / sort_every";
   EXPECT_NE(a.find(obs::kPostmortemSchema), std::string::npos);
 }
 

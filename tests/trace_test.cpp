@@ -1,6 +1,6 @@
 // Tests for the tracing & metrics subsystem (DESIGN.md §2e): JSON escaping,
 // critical-path analysis on a hand-built DAG, byte-identical trace exports
-// across execution backends, the recording-never-perturbs guarantee, and
+// across thread budgets, the recording-never-perturbs guarantee, and
 // the fig05-style acceptance runs (straggler attribution, wait shrinking
 // after a rebalance).
 
@@ -149,16 +149,13 @@ core::SolverConfig tiny_config() {
   return d.config;
 }
 
-core::ParallelConfig tiny_parallel(par::ExecMode mode, int threads,
-                                   int kernel_threads, bool balance) {
+core::ParallelConfig tiny_parallel(int threads, bool balance) {
   core::ParallelConfig par;
   par.nranks = 6;
   par.strategy = exchange::Strategy::kDistributed;
   par.balance.enabled = balance;
   par.balance.period = 4;
-  par.exec_mode = mode;
-  par.exec_threads = threads;
-  par.kernel_threads = kernel_threads;
+  par.threads = threads;
   return par;
 }
 
@@ -172,12 +169,9 @@ struct TracedRun {
   std::vector<core::StepDiagnostics> history;
 };
 
-TracedRun run_traced(par::ExecMode mode, int threads, int kernel_threads,
-                     bool attach_tracer = true, bool balance = true,
-                     int steps = 8) {
-  core::CoupledSolver solver(tiny_config(),
-                             tiny_parallel(mode, threads, kernel_threads,
-                                           balance));
+TracedRun run_traced(int threads, bool attach_tracer = true,
+                     bool balance = true, int steps = 8) {
+  core::CoupledSolver solver(tiny_config(), tiny_parallel(threads, balance));
   trace::TraceRecorder rec(6);
   if (attach_tracer) solver.runtime().set_tracer(&rec);
   solver.run(steps);
@@ -199,26 +193,25 @@ TracedRun run_traced(par::ExecMode mode, int threads, int kernel_threads,
   return r;
 }
 
-// Identical trace BYTES — not merely equivalent events — for every
-// execution backend: recording happens on the driver thread only.
-TEST(TraceDeterminism, IdenticalBytesAcrossExecModes) {
-  const TracedRun seq = run_traced(par::ExecMode::kSequential, 0, 1);
-  const TracedRun thr = run_traced(par::ExecMode::kThreaded, 4, 1);
-  const TracedRun kt4 = run_traced(par::ExecMode::kSequential, 0, 4);
+// Identical trace BYTES — not merely equivalent events — for every thread
+// budget: recording happens on the driver thread only. 6 ranks on 4 lanes
+// dispatch rank bodies; on 8 lanes they chunk kernels.
+TEST(TraceDeterminism, IdenticalBytesAcrossThreadCounts) {
+  const TracedRun seq = run_traced(1);
+  const TracedRun ranks = run_traced(4);
+  const TracedRun kernels = run_traced(8);
 
   ASSERT_FALSE(seq.json.empty());
-  EXPECT_EQ(seq.json, thr.json);
-  EXPECT_EQ(seq.json, kt4.json);
-  EXPECT_EQ(seq.csv, thr.csv);
-  EXPECT_EQ(seq.csv, kt4.csv);
+  EXPECT_EQ(seq.json, ranks.json);
+  EXPECT_EQ(seq.json, kernels.json);
+  EXPECT_EQ(seq.csv, ranks.csv);
+  EXPECT_EQ(seq.csv, kernels.csv);
 }
 
 // Attaching a recorder must not move a single clock tick or particle.
 TEST(TraceDeterminism, RecordingDoesNotPerturbTheRun) {
-  const TracedRun with = run_traced(par::ExecMode::kSequential, 0, 1,
-                                    /*attach_tracer=*/true);
-  const TracedRun without = run_traced(par::ExecMode::kSequential, 0, 1,
-                                       /*attach_tracer=*/false);
+  const TracedRun with = run_traced(1, /*attach_tracer=*/true);
+  const TracedRun without = run_traced(1, /*attach_tracer=*/false);
   EXPECT_EQ(with.clocks, without.clocks);
   EXPECT_EQ(with.total_time, without.total_time);
   EXPECT_EQ(with.potential, without.potential);
@@ -233,7 +226,7 @@ TEST(TraceDeterminism, RecordingDoesNotPerturbTheRun) {
 
 // The export has one named lane per rank plus spans, flows, and counters.
 TEST(TraceExport, ContainsLanesFlowsAndCounters) {
-  const TracedRun r = run_traced(par::ExecMode::kSequential, 0, 1);
+  const TracedRun r = run_traced(1);
   for (int rank = 0; rank < 6; ++rank) {
     const std::string lane = "\"rank " + std::to_string(rank) + "\"";
     EXPECT_NE(r.json.find(lane), std::string::npos) << lane;
