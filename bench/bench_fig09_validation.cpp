@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   {
     core::SolverConfig cfg = ds.config;
     cfg.seed = opt.seed;
-    core::CoupledSolver serial_solver(cfg, {.nranks = 1});
+    core::CoupledSolver serial_solver(cfg, {.nranks = 1, .balance = {}});
     core::ParallelConfig ppar;
     ppar.nranks = opt.ranks.front();
     ppar.balance.period = 10;

@@ -4,7 +4,8 @@
 # access, use-after-free, leak, signed overflow or misaligned load fails the
 # run: UBSan is built with -fno-sanitize-recover, and ASan halts on the
 # first error by default. _GLIBCXX_ASSERTIONS adds libstdc++'s bounds checks
-# on vector/span indexing.
+# on vector/span indexing. The tree builds with -DDSMCPIC_WERROR=ON, so a
+# new compiler warning fails the lane too.
 #
 #   scripts/run_asan.sh [build-dir] [jobs]
 #
@@ -20,6 +21,7 @@ JOBS="${2:-2}"
 cmake -B "$BUILD" -S . -G Ninja \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDSMCPIC_SANITIZE=address,undefined \
+  -DDSMCPIC_WERROR=ON \
   -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
 cmake --build "$BUILD" -j "$JOBS"
 

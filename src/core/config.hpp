@@ -68,8 +68,8 @@ struct SolverConfig {
   std::uint64_t seed = 42;
 
   /// Periodic cell sort (DESIGN.md §2g): every `sort_every` DSMC steps each
-  /// rank's particle store is reordered cell-major (stable counting sort) so
-  /// collide/deposit traversals stream memory linearly. 0 disables. Pure
+  /// rank's particle store is gathered into its CellIndex's (cell, id) order
+  /// so collide/deposit traversals stream memory linearly. 0 disables. Pure
   /// memory-layout work: results, digests and virtual clocks are
   /// bit-identical for ANY value, and like ParallelConfig::threads it is not
   /// part of the checkpoint fingerprint.

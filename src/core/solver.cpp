@@ -316,24 +316,26 @@ void CoupledSolver::do_colli_react(StepDiagnostics& diag) {
     std::int64_t collisions = 0, ionizations = 0, recombinations = 0;
   };
   std::vector<RankStats> per_rank(pcfg_.nranks);
-  // Periodic cell sort (DESIGN.md §2g): reorder each store cell-major so the
-  // collide/deposit traversals stream memory linearly. The sort only changes
-  // memory layout — traversal semantics are owned by CellIndex, whose
-  // per-cell lists are canonicalized by particle id — so every observable is
-  // bit-identical for any sort_every. Layout work has no physical analogue,
-  // so it charges no virtual time (wall-clock cost is visible via the "sort"
-  // host-profiler scope and a trace instant).
+  // Colli_React reuses the CellIndex that do_reindex just built: reindex
+  // numbered ids in index order, so each cell's list is still id-ascending,
+  // and nothing touches the store in between.
+  //
+  // Periodic cell sort (DESIGN.md §2g): lay each store out in that index's
+  // canonical (cell, id) order, after which the index is the identity and
+  // the collide/deposit traversals stream memory linearly. The sort only
+  // changes memory layout — traversal semantics are owned by CellIndex — so
+  // every observable is bit-identical for any sort_every. Layout work has no
+  // physical analogue, so it charges no virtual time (wall-clock cost is
+  // visible via the "sort" host-profiler scope and a trace instant).
   const bool sorted =
       cfg_.sort_every > 0 && step_ % cfg_.sort_every == 0;
   rt_->superstep(phases::kColliReact, [&](par::Comm& c) {
     const int r = c.rank();
+    dsmc::CellIndex& index = cell_index_[r];
     if (sorted) {
       const obs::HostProfiler::Scope prof(prof_, "sort");
-      stores_[r].sort_by_cell(coarse_.num_tets(), sort_scratch_[r],
-                              removed_[r]);
+      index.gather_store(stores_[r], sort_scratch_[r], removed_[r]);
     }
-    dsmc::CellIndex& index = cell_index_[r];
-    index.rebuild(stores_[r], coarse_.num_tets());
     dsmc::CollisionStats cs;
     {
       const obs::HostProfiler::Scope prof(prof_, "collide");

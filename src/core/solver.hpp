@@ -251,7 +251,7 @@ class CoupledSolver {
   // Intra-rank kernel executor (a view of the runtime's pool) and per-rank
   // reusable scratch so chunking allocates nothing in steady state.
   support::KernelExec kexec_;
-  std::vector<dsmc::CellIndex> cell_index_;          // per rank, rebuilt
+  std::vector<dsmc::CellIndex> cell_index_;  // per rank, Reindex→Colli_React
   std::vector<dsmc::CollideScratch> collide_scratch_;
   std::vector<pic::DepositScratch> deposit_scratch_;
   std::vector<dsmc::SortScratch> sort_scratch_;      // periodic cell sort

@@ -1,6 +1,6 @@
 #include "dsmc/particles.hpp"
 
-#include <algorithm>
+#include <numeric>
 
 #include "support/serialize.hpp"
 
@@ -215,33 +215,15 @@ CellIndex::CellIndex(const ParticleStore& store, std::int32_t num_cells) {
 }
 
 void CellIndex::rebuild(const ParticleStore& store, std::int32_t num_cells) {
-  start_.assign(static_cast<std::size_t>(num_cells) + 1, 0);
-  const auto cells = store.cells();
-  for (std::int32_t c : cells) {
-    DSMCPIC_CHECK_MSG(c >= 0 && c < num_cells, "particle in invalid cell " << c);
-    ++start_[static_cast<std::size_t>(c) + 1];
-  }
-  for (std::int32_t c = 0; c < num_cells; ++c) start_[c + 1] += start_[c];
-  items_.resize(store.size());
-  cursor_.assign(start_.begin(), start_.end() - 1);
-  for (std::size_t i = 0; i < store.size(); ++i)
-    items_[static_cast<std::size_t>(cursor_[cells[i]]++)] =
-        static_cast<std::int32_t>(i);
-  // Canonicalize each cell's list to ascending particle id. Store slots are
-  // NOT a reliable within-cell order: a particle whose cell changes without
-  // leaving the rank keeps its old slot, so slot order inside the new cell
-  // depends on the store's memory layout history (e.g. whether a periodic
-  // cell sort ran, DESIGN.md §2g). Ids are layout-independent, so every
-  // per-cell consumer — NTC pair selection, chemistry, reindex — sees the
-  // same sequence no matter how the store is arranged. The stable tie-break
-  // (ids are unique per step; spawn-id collisions are ~2^-63) keeps the
-  // result deterministic regardless.
-  const auto ids = store.ids();
-  for (std::int32_t c = 0; c < num_cells; ++c)
-    std::stable_sort(items_.begin() + start_[c], items_.begin() + start_[c + 1],
-                     [&ids](std::int32_t a, std::int32_t b) {
-                       return ids[a] < ids[b];
-                     });
+  build_cell_order(store.cells(), store.ids(), num_cells,
+                   [](std::size_t) { return true; }, start_, items_, scratch_);
+}
+
+void CellIndex::gather_store(ParticleStore& store, SortScratch& scratch,
+                             std::span<std::uint8_t> flags) {
+  DSMCPIC_CHECK(items_.size() == store.size());
+  store.apply_gather(items_, scratch, flags);
+  std::iota(items_.begin(), items_.end(), 0);
 }
 
 }  // namespace dsmcpic::dsmc

@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "dsmc/cell_order.hpp"
 #include "support/error.hpp"
 #include "support/vec3.hpp"
 
@@ -108,10 +109,12 @@ class ParticleStore {
 
   /// Stable counting sort of the store by owning coarse cell: afterwards
   /// particles of one cell occupy a contiguous ascending range and the
-  /// relative order of particles WITHIN each cell is unchanged. This is a
-  /// pure memory-layout operation — per-cell traversal ORDER is owned by
-  /// CellIndex, which canonicalizes by particle id — so running it (at any
-  /// interval) changes no observable result (DESIGN.md §2g).
+  /// relative order of particles WITHIN each cell (slot order, not id
+  /// order) is unchanged. This is a pure memory-layout operation — per-cell
+  /// traversal ORDER is owned by CellIndex, which canonicalizes by particle
+  /// id — so running it changes no observable result. The solver's periodic
+  /// cell sort uses CellIndex::gather_store instead, which also orders each
+  /// cell by id (DESIGN.md §2g).
   void sort_by_cell(std::int32_t num_cells, SortScratch& scratch,
                     std::span<std::uint8_t> flags = {});
 
@@ -130,21 +133,34 @@ class ParticleStore {
   std::vector<std::int32_t> cell_;
 };
 
-/// Cell -> particle-index lists (rebuilt per step where needed: collisions,
-/// deposition, exchange classification). Each cell's list is sorted by
-/// ascending particle id — the canonical per-cell traversal order, chosen
-/// because store slots are layout history (intra-rank cell changes keep
-/// their slot) while ids are layout-independent (DESIGN.md §2g). After
-/// ParticleStore::sort_by_cell on a freshly reindexed store the items are
-/// the identity permutation and particles_in() spans are contiguous.
+/// Cell -> particle-index lists: every slot of the store, cell-major, and
+/// within each cell by ascending particle id (ties in ascending slot
+/// order) — the canonical per-cell traversal order, chosen because store
+/// slots are layout history (intra-rank cell changes keep their slot) while
+/// ids are layout-independent (DESIGN.md §2g). Built by build_cell_order in
+/// linear time per cell.
+///
+/// The solver builds one index per rank per DSMC step, in Reindex, and
+/// Colli_React reuses it: Reindex numbers ids in index order, so the lists
+/// stay id-ascending under the new ids, and nothing touches the store
+/// between the two phases. On cell-sort steps gather_store() lays the store
+/// out in the index's (cell, id) order, after which the items are the
+/// identity and particles_in() spans are contiguous slices of memory.
 class CellIndex {
  public:
   CellIndex() = default;
   CellIndex(const ParticleStore& store, std::int32_t num_cells);
 
-  /// Rebuilds the index in place. Reuses the start/items/cursor storage
+  /// Rebuilds the index in place. Reuses the start/items/scratch storage
   /// from previous rebuilds, so steady-state steps allocate nothing.
   void rebuild(const ParticleStore& store, std::int32_t num_cells);
+
+  /// Reorders `store` (and `flags`, if given) so new slot k holds the
+  /// particle the index lists at position k, then makes the index the
+  /// identity to match. The index must have been built from `store` as it
+  /// is now.
+  void gather_store(ParticleStore& store, SortScratch& scratch,
+                    std::span<std::uint8_t> flags = {});
 
   std::span<const std::int32_t> particles_in(std::int32_t cell) const {
     return {items_.data() + start_[cell],
@@ -157,7 +173,7 @@ class CellIndex {
  private:
   std::vector<std::int64_t> start_;
   std::vector<std::int32_t> items_;
-  std::vector<std::int64_t> cursor_;  // fill scratch, reused across rebuilds
+  CellOrderScratch scratch_;  // reused across rebuilds
 };
 
 }  // namespace dsmcpic::dsmc

@@ -4,11 +4,12 @@
 // "interpolating the particle charge to the grid nodes" step of the paper's
 // PIC cycle (Sec. III-C).
 //
-// Traversal is cell-major (coarse cell ascending, within-cell store order),
-// built from the same counting-sort prefix CellIndex uses, so after the
-// periodic cell sort (DESIGN.md §2g) the scatter streams the store
-// linearly. The accumulation schedule is a FIXED number of contiguous
-// blocks of that traversal, each scattering into its own node buffer,
+// Traversal is cell-major (coarse cell ascending, ascending particle id
+// within a cell), built by the same dsmc::build_cell_order that CellIndex
+// uses; after the periodic cell sort (DESIGN.md §2g) laid the store out in
+// that order, the scatter mostly streams memory in slot order. The
+// accumulation schedule is a FIXED number of contiguous blocks of that
+// traversal, each scattering into its own node buffer,
 // reduced per node in ascending block order — a deterministic tree
 // reduction whose floating-point grouping depends only on the particle
 // population, never on the executor, so node_charge is bit-identical for
@@ -18,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "dsmc/cell_order.hpp"
 #include "dsmc/particles.hpp"
 #include "dsmc/species.hpp"
 #include "pic/fine_grid.hpp"
@@ -31,13 +33,13 @@ struct DepositStats {
 };
 
 /// Reusable per-rank scratch for the blocked deposit: the cell-major
-/// traversal order (counting-sort prefix + permutation) and the per-block
-/// node-accumulation buffers. Capacities persist across steps so the
+/// traversal order (per-cell prefix + permutation, with the order builder's
+/// scratch) and the per-block node-accumulation buffers. Capacities persist across steps so the
 /// deposit allocates nothing in steady state.
 struct DepositScratch {
   std::vector<std::int64_t> start;    // per-cell prefix sums
-  std::vector<std::int64_t> cursor;   // fill scratch
   std::vector<std::int32_t> order;    // cell-major particle traversal
+  dsmc::CellOrderScratch cell_order;  // build_cell_order scratch
   std::vector<double> block_charge;   // kDepositBlocks x nnodes accumulators
 };
 

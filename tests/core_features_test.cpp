@@ -81,6 +81,59 @@ TEST(Checkpoint, RestartReproducesUninterruptedRun) {
   std::filesystem::remove(path);
 }
 
+// Colli_React reuses the CellIndex that Reindex built in the same step, and
+// a cell-sort step re-lays the store out in that index's order. Neither the
+// index nor the layout is checkpointed, so a restore mid-run must rebuild
+// both to exactly what the uninterrupted run had — with the cell sort on
+// every step, so the checkpoint is taken right after a sort. The dense,
+// ionizing variant of the tiny case collides, so a wrong per-cell
+// traversal would change the physics; and since the sort is pure layout,
+// the never-sorted run must match too.
+TEST(Checkpoint, RestartWithCellSortEveryStepMatchesUninterruptedRun) {
+  SolverConfig cfg = tiny_config();
+  cfg.density_h *= 100.0;
+  cfg.fnum_h *= 100.0;
+  cfg.chemistry.ionization_threshold = 0.0;
+  const ParallelConfig par = tiny_parallel(3);
+
+  SolverConfig unsorted_cfg = cfg;
+  unsorted_cfg.sort_every = 0;
+  CoupledSolver unsorted(unsorted_cfg, par);
+  unsorted.run(12);
+  std::int64_t collisions = 0, ionizations = 0;
+  for (const StepDiagnostics& d : unsorted.history()) {
+    collisions += d.collisions;
+    ionizations += d.ionizations;
+  }
+  ASSERT_GT(collisions, 0);
+  ASSERT_GT(ionizations, 0);
+
+  cfg.sort_every = 1;
+  CoupledSolver reference(cfg, par);
+  reference.run(12);
+
+  const std::string path = temp_path("dsmcpic_ckpt_sorted_test.bin");
+  {
+    CoupledSolver first(cfg, par);
+    first.run(7);
+    first.save_checkpoint(path);
+  }
+  CoupledSolver second(cfg, par);
+  second.restore_checkpoint(path);
+  second.run(5);
+  std::filesystem::remove(path);
+
+  for (const CoupledSolver* want : {&reference, &unsorted}) {
+    EXPECT_EQ(second.particles_per_rank(), want->particles_per_rank());
+    EXPECT_EQ(second.runtime().total_time(), want->runtime().total_time());
+    EXPECT_EQ(second.potential(), want->potential());
+    EXPECT_EQ(second.sampler().number_density(dsmc::kSpeciesH),
+              want->sampler().number_density(dsmc::kSpeciesH));
+    EXPECT_EQ(second.sampler().number_density(dsmc::kSpeciesHPlus),
+              want->sampler().number_density(dsmc::kSpeciesHPlus));
+  }
+}
+
 // The thread budget is deliberately NOT part of the checkpoint fingerprint:
 // a run saved under rank dispatch (4 ranks on 3 lanes) restores into a
 // serial solver (and vice versa) and still reproduces the uninterrupted

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <numeric>
+#include <vector>
 
+#include "dsmc/cell_order.hpp"
 #include "dsmc/chemistry.hpp"
 #include "dsmc/collide.hpp"
 #include "dsmc/injector.hpp"
@@ -13,6 +18,10 @@
 #include "dsmc/sampling.hpp"
 #include "dsmc/species.hpp"
 #include "mesh/nozzle.hpp"
+#include "mesh/refine.hpp"
+#include "pic/deposit.hpp"
+#include "pic/fine_grid.hpp"
+#include "support/rng.hpp"
 
 namespace dsmcpic::dsmc {
 namespace {
@@ -425,6 +434,274 @@ TEST(CellIndex, RebuildMatchesFreshBuildAndReusesStorage) {
     ASSERT_EQ(a.size(), b.size()) << "cell " << c;
     for (std::size_t k = 0; k < a.size(); ++k) EXPECT_EQ(a[k], b[k]);
   }
+}
+
+// ---- build_cell_order vs its oracle ---------------------------------------
+// The builder must reproduce "counting sort by cell, then std::stable_sort
+// by id within each cell" exactly, including the slot order of tied ids.
+
+struct CellOrderRef {
+  std::vector<std::int64_t> start;
+  std::vector<std::int32_t> items;
+};
+
+template <class Keep>
+CellOrderRef oracle_cell_order(const std::vector<std::int32_t>& cells,
+                               const std::vector<std::int64_t>& ids,
+                               std::int32_t num_cells, Keep keep) {
+  CellOrderRef o;
+  o.start.assign(static_cast<std::size_t>(num_cells) + 1, 0);
+  for (std::size_t i = 0; i < cells.size(); ++i)
+    if (keep(i)) ++o.start[static_cast<std::size_t>(cells[i]) + 1];
+  std::partial_sum(o.start.begin(), o.start.end(), o.start.begin());
+  o.items.resize(static_cast<std::size_t>(o.start.back()));
+  std::vector<std::int64_t> cursor(o.start.begin(), o.start.end() - 1);
+  for (std::size_t i = 0; i < cells.size(); ++i)
+    if (keep(i)) o.items[cursor[cells[i]]++] = static_cast<std::int32_t>(i);
+  for (std::int32_t c = 0; c < num_cells; ++c)
+    std::stable_sort(o.items.begin() + o.start[c],
+                     o.items.begin() + o.start[c + 1],
+                     [&ids](std::int32_t a, std::int32_t b) {
+                       return ids[a] < ids[b];
+                     });
+  return o;
+}
+
+const auto keep_all = [](std::size_t) { return true; };
+
+template <class Keep = decltype(keep_all)>
+void expect_matches_oracle(const std::vector<std::int32_t>& cells,
+                           const std::vector<std::int64_t>& ids,
+                           std::int32_t num_cells, CellOrderScratch& scratch,
+                           Keep keep = keep_all) {
+  std::vector<std::int64_t> start;
+  std::vector<std::int32_t> items;
+  build_cell_order(cells, ids, num_cells, keep, start, items, scratch);
+  const CellOrderRef want = oracle_cell_order(cells, ids, num_cells, keep);
+  EXPECT_EQ(start, want.start);
+  EXPECT_EQ(items, want.items);
+}
+
+// Particles spread over `num_cells` cells at random, ids from `make_id`.
+template <class MakeId>
+void expect_random_population_matches(std::size_t n, std::int32_t num_cells,
+                                      std::uint64_t seed, MakeId make_id,
+                                      CellOrderScratch& scratch) {
+  Rng rng(seed);
+  std::vector<std::int32_t> cells(n);
+  std::vector<std::int64_t> ids(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    cells[i] = static_cast<std::int32_t>(rng.uniform_index(num_cells));
+    ids[i] = make_id(rng, i);
+  }
+  expect_matches_oracle(cells, ids, num_cells, scratch);
+}
+
+TEST(CellOrder, DuplicateIdsKeepAscendingSlotOrder) {
+  CellOrderScratch scratch;
+  // ~5 copies of each id per cell: both the insertion sort (13 cells of
+  // ~15) and the radix (3 cells of ~330) see ties.
+  expect_random_population_matches(
+      200, 13, 1,
+      [](Rng& rng, std::size_t) {
+        return static_cast<std::int64_t>(rng.uniform_index(40));
+      },
+      scratch);
+  expect_random_population_matches(
+      1000, 3, 2,
+      [](Rng& rng, std::size_t) {
+        return static_cast<std::int64_t>(rng.uniform_index(200));
+      },
+      scratch);
+  // Equal ids at the extremes of a wide range: every digit is live.
+  std::vector<std::int32_t> cells(300, 0);
+  std::vector<std::int64_t> ids(300);
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    ids[i] = (i % 3 == 0) ? INT64_MAX : (i % 3 == 1) ? 0 : INT64_MAX / 3;
+  expect_matches_oracle(cells, ids, 1, scratch);
+}
+
+TEST(CellOrder, Random63BitIdsMatchOracle) {
+  CellOrderScratch scratch;
+  for (const std::int32_t num_cells : {1, 7, 40})
+    expect_random_population_matches(
+        3000, num_cells, 3 + num_cells,
+        [](Rng& rng, std::size_t) {
+          return static_cast<std::int64_t>(rng.next_u64() >> 1);
+        },
+        scratch);
+}
+
+TEST(CellOrder, InjectorAndMixedIdsMatchOracle) {
+  CellOrderScratch scratch;
+  // Injector ids: (facet + 1) << 32 | sequence.
+  expect_random_population_matches(
+      2000, 9, 11,
+      [](Rng& rng, std::size_t i) {
+        const std::int64_t f = static_cast<std::int64_t>(rng.uniform_index(6));
+        return ((f + 1) << 32) | static_cast<std::int64_t>(i);
+      },
+      scratch);
+  // A reindexed population (small, nearly sequential ids) with injected
+  // particles and rare spawned ions mixed in, as a real store holds.
+  expect_random_population_matches(
+      4000, 5, 12,
+      [](Rng& rng, std::size_t i) {
+        const std::uint64_t kind = rng.uniform_index(100);
+        if (kind < 3) return static_cast<std::int64_t>(rng.next_u64() >> 1);
+        if (kind < 20)
+          return (static_cast<std::int64_t>(1 + rng.uniform_index(4)) << 32) |
+                 static_cast<std::int64_t>(i);
+        return static_cast<std::int64_t>(i + rng.uniform_index(64));
+      },
+      scratch);
+}
+
+TEST(CellOrder, DescendingIdsMatchOracle) {
+  CellOrderScratch scratch;
+  expect_random_population_matches(
+      2500, 6, 21,
+      [](Rng&, std::size_t i) { return static_cast<std::int64_t>(5000 - i); },
+      scratch);
+  expect_random_population_matches(
+      120, 30, 22,
+      [](Rng&, std::size_t i) { return static_cast<std::int64_t>(5000 - i); },
+      scratch);
+}
+
+TEST(CellOrder, EmptyStoreEmptyCellsAndOneCell) {
+  CellOrderScratch scratch;
+  expect_matches_oracle({}, {}, 0, scratch);
+  expect_matches_oracle({}, {}, 4, scratch);
+  // Most of 500 cells are empty.
+  expect_random_population_matches(
+      300, 500, 31,
+      [](Rng& rng, std::size_t) {
+        return static_cast<std::int64_t>(rng.next_u64() >> 40);
+      },
+      scratch);
+  // Everything in one cell, already sorted and not.
+  expect_random_population_matches(
+      1500, 1, 32,
+      [](Rng&, std::size_t i) { return static_cast<std::int64_t>(i); },
+      scratch);
+  expect_random_population_matches(
+      1500, 1, 33,
+      [](Rng& rng, std::size_t) {
+        return static_cast<std::int64_t>(rng.uniform_index(1u << 20));
+      },
+      scratch);
+}
+
+TEST(CellOrder, CellsOnBothSidesOfTheInsertionCutoff) {
+  CellOrderScratch scratch;
+  Rng rng(41);
+  std::vector<std::int32_t> cells;
+  std::vector<std::int64_t> ids;
+  // Cell c holds one of these sizes, its particles interleaved with the
+  // other cells' in the store.
+  const std::int64_t k = kCellOrderInsertionCutoff;
+  const std::vector<std::int64_t> sizes = {1, 2, k - 1, k, k + 1, k + 2, 4 * k};
+  std::vector<std::int64_t> left = sizes;
+  for (bool any = true; any;) {
+    any = false;
+    for (std::size_t c = 0; c < left.size(); ++c) {
+      if (left[c] == 0) continue;
+      --left[c];
+      any = true;
+      cells.push_back(static_cast<std::int32_t>(c));
+      ids.push_back(static_cast<std::int64_t>(rng.uniform_index(1000)));
+    }
+  }
+  const std::int32_t num_cells = static_cast<std::int32_t>(sizes.size());
+  expect_matches_oracle(cells, ids, num_cells, scratch);
+  // Reversed store order, so every cell of two or more is out of order.
+  std::reverse(cells.begin(), cells.end());
+  std::reverse(ids.begin(), ids.end());
+  expect_matches_oracle(cells, ids, num_cells, scratch);
+}
+
+// The deposit builds its traversal with the same builder over its
+// candidates only (not removed, charged species).
+TEST(CellOrder, DepositTraversalMatchesOracleOverItsCandidates) {
+  mesh::NozzleSpec spec = test_spec();
+  const mesh::TetMesh coarse = mesh::make_cylinder_nozzle(spec);
+  const mesh::RefinedMesh refined =
+      mesh::red_refine(coarse, mesh::nozzle_classifier(spec));
+  const pic::FineGrid grid(coarse, refined);
+  const SpeciesTable table = SpeciesTable::hydrogen(1e12, 500.0);
+  Rng rng(51);
+  ParticleStore store;
+  std::vector<std::uint8_t> removed;
+  for (int i = 0; i < 3000; ++i) {
+    ParticleRecord p;
+    p.cell = static_cast<std::int32_t>(rng.uniform_index(coarse.num_tets()));
+    p.position = coarse.centroid(p.cell);
+    p.species = rng.uniform_index(3) == 0 ? kSpeciesH : kSpeciesHPlus;
+    p.id = rng.uniform_index(4) == 0
+               ? static_cast<std::int64_t>(rng.next_u64() >> 1)
+               : static_cast<std::int64_t>(rng.uniform_index(500));
+    store.add(p);
+    removed.push_back(rng.uniform_index(5) == 0 ? 1 : 0);
+  }
+  std::vector<std::int32_t> nodes(refined.mesh.num_nodes());
+  std::iota(nodes.begin(), nodes.end(), 0);
+  std::vector<double> charge(nodes.size(), 0.0);
+  pic::DepositScratch scratch;
+  pic::deposit_charge(store, grid, table, nodes, removed, charge, nullptr,
+                      &scratch);
+
+  const std::vector<std::int32_t> cells(store.cells().begin(),
+                                        store.cells().end());
+  const std::vector<std::int64_t> ids(store.ids().begin(), store.ids().end());
+  const auto species = store.species();
+  const CellOrderRef want =
+      oracle_cell_order(cells, ids, coarse.num_tets(), [&](std::size_t i) {
+        return removed[i] == 0 && table[species[i]].charged();
+      });
+  EXPECT_EQ(scratch.start, want.start);
+  EXPECT_EQ(scratch.order, want.items);
+}
+
+// gather_store lays the store out in the index's (cell, id) order: the
+// index becomes the identity, and a fresh index on the gathered store
+// agrees with it.
+TEST(CellIndex, GatherStoreMakesTheIndexTheIdentity) {
+  ParticleStore store;
+  Rng rng(61);
+  const std::int32_t num_cells = 11;
+  std::vector<std::uint8_t> flags;
+  for (int i = 0; i < 700; ++i) {
+    ParticleRecord p;
+    p.id = static_cast<std::int64_t>(rng.uniform_index(5000));
+    p.cell = static_cast<std::int32_t>(rng.uniform_index(num_cells));
+    p.position = {static_cast<double>(i), 0, 0};
+    store.add(p);
+    flags.push_back(static_cast<std::uint8_t>(i % 7));
+  }
+  CellIndex index(store, num_cells);
+  std::vector<std::int32_t> order;
+  for (std::int32_t c = 0; c < num_cells; ++c)
+    for (const std::int32_t p : index.particles_in(c)) order.push_back(p);
+
+  SortScratch sort_scratch;
+  index.gather_store(store, sort_scratch, flags);
+  const CellIndex fresh(store, num_cells);
+  std::int32_t k = 0;
+  for (std::int32_t c = 0; c < num_cells; ++c) {
+    const auto got = index.particles_in(c);
+    const auto want = fresh.particles_in(c);
+    ASSERT_EQ(got.size(), want.size()) << "cell " << c;
+    for (std::size_t j = 0; j < got.size(); ++j, ++k) {
+      EXPECT_EQ(got[j], k);
+      EXPECT_EQ(want[j], k);
+      // Slot k now holds the particle the index listed k-th.
+      EXPECT_EQ(store.position(k).x, static_cast<double>(order[k]));
+      EXPECT_EQ(flags[k], order[k] % 7);
+      EXPECT_EQ(store.cells()[k], c);
+    }
+  }
+  EXPECT_EQ(k, static_cast<std::int32_t>(store.size()));
 }
 
 TEST(Chemistry, IonizationSpawnsIonAboveThreshold) {

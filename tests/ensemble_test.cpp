@@ -253,6 +253,39 @@ TEST(EnsembleSolver, ElasticRunIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// An elastic shrink migrates particles onto the surviving ranks between
+// steps; the next Reindex rebuilds each rank's CellIndex and Colli_React
+// reuses it. With the cell sort on (every third step, so some sorts land
+// right after a resize) the run must match the unsorted one bitwise. The
+// dense, ionizing variant of the tiny case collides, so a wrong per-cell
+// traversal would change the physics.
+TEST(EnsembleSolver, ElasticShrinkWithCellSortMatchesUnsortedShrink) {
+  auto run = [](int sort_every) {
+    core::SolverConfig cfg = tiny_config();
+    cfg.density_h *= 100.0;
+    cfg.fnum_h *= 100.0;
+    cfg.chemistry.ionization_threshold = 0.0;
+    cfg.sort_every = sort_every;
+    core::CoupledSolver solver(cfg,
+                               make_par(12, EnsembleKind::kElastic, 0, 2));
+    solver.run(9);
+    std::vector<double> clocks;
+    for (int r = 0; r < solver.runtime().size(); ++r)
+      clocks.push_back(solver.runtime().clock(r));
+    std::int64_t collisions = 0;
+    for (const core::StepDiagnostics& d : solver.history())
+      collisions += d.collisions;
+    return std::tuple(clocks, solver.particles_per_rank(), solver.potential(),
+                      solver.active_ranks(), solver.ensemble().resizes(),
+                      collisions);
+  };
+  const auto unsorted = run(0);
+  const auto sorted = run(3);
+  EXPECT_LT(std::get<3>(unsorted), 12) << "the run never shrank";
+  EXPECT_GT(std::get<5>(unsorted), 0) << "the run never collided";
+  EXPECT_EQ(sorted, unsorted);
+}
+
 TEST(EnsembleSolver, NeighborStrategyMatchesDistributedPhysics) {
   // NC ships the same payloads as DC over sparse handshakes: the physics
   // (particle counts, potential) must match bitwise; only virtual time may

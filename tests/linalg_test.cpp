@@ -199,7 +199,9 @@ TEST_P(DistCgTest, MatchesSerialCg) {
   for (std::int32_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_serial[i], 1e-7);
   // The solve must have charged communication/compute time.
   EXPECT_GT(rt.phase_stats("solve").busy_max, 0.0);
-  if (nranks > 1) EXPECT_GT(rt.phase_stats("solve").transactions, 0u);
+  if (nranks > 1) {
+    EXPECT_GT(rt.phase_stats("solve").transactions, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, DistCgTest,

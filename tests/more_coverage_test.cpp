@@ -24,7 +24,6 @@ TEST(PartitionEdgeWeights, HeavyEdgesAreNotCut) {
   // Path of 6 with one very heavy edge in the middle-left: the 2-way cut
   // must avoid it even though cutting there would balance node counts.
   partition::Graph g;
-  const int nv = 6;
   g.xadj = {0, 1, 3, 5, 7, 9, 10};
   g.adjncy = {1, 0, 2, 1, 3, 2, 4, 3, 5, 4};
   g.ewgt = {100, 100, 1, 1, 1, 1, 1, 1, 1, 1};  // edge 0-1 heavy

@@ -96,7 +96,9 @@ TEST(Runtime, InboxClearedAfterSuperstep) {
     if (c.rank() == 0) c.send(1, 0, {});
   });
   rt.superstep("b", [](Comm& c) {
-    if (c.rank() == 1) EXPECT_EQ(c.inbox().size(), 1u);
+    if (c.rank() == 1) {
+      EXPECT_EQ(c.inbox().size(), 1u);
+    }
   });
   rt.superstep("c", [](Comm& c) { EXPECT_TRUE(c.inbox().empty()); });
 }
@@ -443,7 +445,9 @@ TEST(Runtime, AcquiredPayloadsAreZeroFilled) {
     c.send_owned(1, 0, std::move(p), CostClass::kParticle);
   });
   rt.superstep("deliver", [](Comm& c) {
-    if (c.rank() == 1) ASSERT_EQ(c.inbox().size(), 1u);
+    if (c.rank() == 1) {
+      ASSERT_EQ(c.inbox().size(), 1u);
+    }
   });
   // The dirty buffer recycled to rank 0's pool; a smaller acquire must
   // best-fit it and still hand back zeroes.

@@ -82,10 +82,12 @@ TEST(ParticleSort, SortByCellGroupsCellsAscending) {
 }
 
 // Stability keeps the layout predictable: within one cell, particles keep
-// the relative order they had before the sort. (Traversal ORDER semantics
-// are owned by CellIndex, which canonicalizes per-cell lists by id — see
-// CellIndexSortsEachCellById below — but a stable layout permutation means
-// a freshly reindexed, sorted store is exactly id-ascending in memory.)
+// the relative order they had before the sort — slot order, not id order.
+// Traversal ORDER is owned by CellIndex, which canonicalizes per-cell lists
+// by id (CellIndexSortsEachCellById below), so this slot-stable sort does
+// NOT leave a reindexed store id-ascending in memory. The solver's cell
+// sort gathers the store in the index's (cell, id) order instead
+// (CellIndex::gather_store, DESIGN.md §2g).
 TEST(ParticleSort, SortByCellIsStableWithinCells) {
   const std::int32_t num_cells = 6;
   ParticleStore store = make_store(211, num_cells);
@@ -218,9 +220,10 @@ TEST(ParticleSort, CellIndexSortsEachCellById) {
     const auto parts = index.particles_in(c);
     for (std::size_t k = 0; k < parts.size(); ++k) {
       EXPECT_EQ(store.cells()[parts[k]], c);
-      if (k > 0)
+      if (k > 0) {
         EXPECT_LT(store.ids()[parts[k - 1]], store.ids()[parts[k]])
             << "cell " << c << " item " << k;
+      }
     }
     seen += parts.size();
   }

@@ -112,8 +112,9 @@ TEST(Poisson, LaplaceSolutionObeysMaxPrinciple) {
   for (std::int32_t n = 0; n < sys.num_nodes(); ++n) {
     EXPECT_GE(phi[n], -1e-6);
     EXPECT_LE(phi[n], 100.0 + 1e-6);
-    if (sys.is_dirichlet()[n])
+    if (sys.is_dirichlet()[n]) {
       EXPECT_NEAR(phi[n], sys.dirichlet_value()[n], 1e-6);
+    }
   }
   // The potential decays along the axis away from the inlet.
   const FineGrid fg(m.coarse, m.refined);
