@@ -12,7 +12,6 @@
 #include "core/autotune.hpp"
 #include "core/datasets.hpp"
 #include "core/solver.hpp"
-#include "core/timeline.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 
@@ -46,19 +45,13 @@ int main(int argc, char** argv) {
   par.balance.period = tuned.best_period;
   par.balance.threshold = tuned.best_threshold;
 
-  // 2. First half + checkpoint (with a phase timeline for inspection).
+  // 2. First half + checkpoint.
   const int half = static_cast<int>(*steps) / 2;
   {
     core::CoupledSolver solver(ds.config, par);
-    core::PhaseTimeline timeline(solver);
-    for (int s = 0; s < half; ++s) {
-      solver.step();
-      timeline.record_step();
-    }
+    solver.run(half);
     solver.save_checkpoint(*ckpt);
-    timeline.write_csv("demo_timeline.csv");
-    std::printf("checkpointed at step %d -> %s (%lld particles); timeline in "
-                "demo_timeline.csv\n",
+    std::printf("checkpointed at step %d -> %s (%lld particles)\n",
                 solver.current_step(), ckpt->c_str(),
                 static_cast<long long>(solver.total_particles()));
   }

@@ -50,7 +50,11 @@ for inv in ("particle_books", "exchange_conservation", "charge_balance",
     assert audit["by_invariant"][inv]["checks"] > 0, f"audit {inv} never ran"
 prof = r["host_profile"]
 assert prof["enabled"] is True and prof["sample_count"] > 0
-for kernel in ("move", "deposit", "field_solve", "exchange"):
+# One driver-thread scope per row of the coupled step (DESIGN.md §2f).
+for kernel in ("inject", "move", "exchange", "reindex", "sort", "collide",
+               "deposit", "field_solve", "sample", "rebalance", "record"):
+    assert kernel in prof["kernels"], \
+        f"{path}: row scope {kernel} missing from {sorted(prof['kernels'])}"
     stats = prof["kernels"][kernel]
     assert stats["count"] > 0 and stats["total_ms"] >= 0
     assert stats["min_ms"] <= stats["p50_ms"] <= stats["p95_ms"] <= stats["max_ms"]

@@ -92,6 +92,7 @@ void CoupledSolver::init() {
 
   stores_.resize(nranks);
   removed_.assign(nranks, {});
+  tally_.resize(nranks);
 
   kexec_ = support::KernelExec(rt_->pool());
   cell_index_.resize(nranks);
@@ -128,8 +129,7 @@ void CoupledSolver::init() {
   rebuild_parallel_structures(phases::kInit, /*charge_costs=*/true);
 
   // Initial electrostatic field (no charge yet: pure boundary solve).
-  StepDiagnostics dummy;
-  do_poisson_solve(dummy);
+  do_poisson_solve();
 
   // Baseline for the lii window.
   prev_busy_ = busy_window();
@@ -193,7 +193,9 @@ void CoupledSolver::rebuild_parallel_structures(const std::string& phase,
   }
 
   if (charge_costs) {
-    rt_->superstep(phase, [&](par::Comm& c) {
+    // Charged at init (before a profiler can attach) and inside the
+    // rebalance row.
+    superstep("rebalance", phase, [&](par::Comm& c, RankTally&) {
       // Local FEM block extraction: 8 fine elements per owned coarse cell.
       c.charge(par::WorkKind::kAssemble,
                8.0 * static_cast<double>(my_cells_[c.rank()].size()));
@@ -203,15 +205,32 @@ void CoupledSolver::rebuild_parallel_structures(const std::string& phase,
   }
 }
 
-void CoupledSolver::do_inject(StepDiagnostics& diag) {
-  // Per-rank accumulation: superstep bodies may run concurrently, so each
-  // rank writes its own slot; the driver reduces afterwards.
-  std::vector<std::int64_t> injected(pcfg_.nranks, 0);
+void CoupledSolver::superstep(
+    const char* scope, const std::string& phase,
+    const std::function<void(par::Comm&, RankTally&)>& body) {
+  const obs::HostProfiler::Scope prof(prof_, scope);
+  // Bodies may run concurrently: each writes only its own rank's slot.
+  std::fill(tally_.begin(), tally_.end(), RankTally{});
+  rt_->superstep(phase, [&](par::Comm& c) { body(c, tally_[c.rank()]); });
+  for (const RankTally& t : tally_) {
+    rec_.injected += t.injected;
+    rec_.exited_dsmc += t.exited_dsmc;
+    rec_.collisions += t.collisions;
+    rec_.ionizations += t.ionizations;
+    rec_.recombinations += t.recombinations;
+    rec_.exited_pic += t.exited_pic;
+    rec_.pic_lost += t.pic_lost;
+  }
+}
+
+void CoupledSolver::do_inject() {
+  const obs::HostProfiler::Scope prof(prof_, "inject");
+  if (auditor_) auditor_->begin_step(step_, total_particles());
   if (cfg_.inject_round_robin) {
     inject_h_->begin_step(species_, cfg_.dt_dsmc, step_);
     inject_hplus_->begin_step(species_, cfg_.dt_dsmc, step_);
   }
-  rt_->superstep(phases::kInject, [&](par::Comm& c) {
+  superstep("inject", phases::kInject, [&](par::Comm& c, RankTally& t) {
     const int r = c.rank();
     std::int64_t n_h = 0, n_hp = 0;
     if (cfg_.inject_round_robin) {
@@ -227,10 +246,9 @@ void CoupledSolver::do_inject(StepDiagnostics& diag) {
     }
     removed_[r].resize(stores_[r].size(), 0);
     c.charge(par::WorkKind::kInject, static_cast<double>(n_h + n_hp));
-    injected[r] = n_h + n_hp;
+    t.injected = n_h + n_hp;
   });
-  for (const std::int64_t n : injected) diag.injected += n;
-  if (auditor_) auditor_->on_injected(diag.injected);
+  if (auditor_) auditor_->on_injected(rec_.injected);
 }
 
 std::int64_t CoupledSolver::flagged_count() const {
@@ -240,22 +258,20 @@ std::int64_t CoupledSolver::flagged_count() const {
   return n;
 }
 
-void CoupledSolver::do_dsmc_move(StepDiagnostics& diag) {
-  std::vector<std::int64_t> exited(pcfg_.nranks, 0);
-  rt_->superstep(phases::kDsmcMove, [&](par::Comm& c) {
+void CoupledSolver::do_dsmc_move() {
+  superstep("move", phases::kDsmcMove, [&](par::Comm& c, RankTally& t) {
     const int r = c.rank();
-    const obs::HostProfiler::Scope prof(prof_, "move");
     const dsmc::MoveStats st = mover_->move_all(
         stores_[r], cfg_.dt_dsmc, step_, removed_[r],
         dsmc::MoveFilter::kNeutralOnly, &kexec_);
     c.charge(par::WorkKind::kMove, static_cast<double>(st.moved));
     c.charge(par::WorkKind::kWalkStep, static_cast<double>(st.walk_steps));
-    exited[r] = st.exited;
+    t.exited_dsmc = st.exited;
   });
-  for (const std::int64_t n : exited) diag.exited_dsmc += n;
 
-  diag.migrated_dsmc =
-      audited_exchange(phases::kDsmcExchange, owner_, &neighbors_).migrated;
+  rec_.migrated_dsmc =
+      audited_exchange("exchange", phases::kDsmcExchange, owner_, &neighbors_)
+          .migrated;
 
   if (cfg_.fault == FaultInjection::kDropParticle) {
     fault_fired_ = true;
@@ -269,28 +285,27 @@ void CoupledSolver::do_dsmc_move(StepDiagnostics& diag) {
 }
 
 exchange::ExchangeStats CoupledSolver::audited_exchange(
-    const char* phase, std::span<const std::int32_t> owner,
+    const char* scope, const char* phase, std::span<const std::int32_t> owner,
     const std::vector<std::vector<int>>* neighbors) {
+  const obs::HostProfiler::Scope prof(prof_, scope);
   if (auditor_) auditor_->on_flagged(flagged_count());
   const std::int64_t before = auditor_ ? total_particles() : 0;
-  exchange::ExchangeStats ex;
-  {
-    const obs::HostProfiler::Scope prof(prof_, "exchange");
-    ex = exchange::exchange_particles(*rt_, phase, pcfg_.strategy, stores_,
-                                      removed_, owner, /*root=*/0, neighbors);
-  }
+  const exchange::ExchangeStats ex =
+      exchange::exchange_particles(*rt_, phase, pcfg_.strategy, stores_,
+                                   removed_, owner, /*root=*/0, neighbors);
   if (auditor_)
     auditor_->check_exchange(phase, before, ex.dropped, total_particles());
   return ex;
 }
 
 void CoupledSolver::do_reindex() {
+  const obs::HostProfiler::Scope prof(prof_, "reindex");
   std::vector<std::int64_t> counts(active_, 0);
   for (int r = 0; r < active_; ++r)
     counts[r] = static_cast<std::int64_t>(stores_[r].size());
   const std::vector<std::int64_t> offsets =
       rt_->exscan_sum(phases::kReindex, counts);
-  rt_->superstep(phases::kReindex, [&](par::Comm& c) {
+  superstep("reindex", phases::kReindex, [&](par::Comm& c, RankTally&) {
     const int r = c.rank();
     // Canonical cell-major renumbering: ids are assigned by ascending coarse
     // cell, ascending PREVIOUS id within each cell (CellIndex sorts its
@@ -311,72 +326,56 @@ void CoupledSolver::do_reindex() {
   });
 }
 
-void CoupledSolver::do_colli_react(StepDiagnostics& diag) {
-  struct RankStats {
-    std::int64_t collisions = 0, ionizations = 0, recombinations = 0;
-  };
-  std::vector<RankStats> per_rank(pcfg_.nranks);
+void CoupledSolver::do_cell_sort() {
+  // Periodic cell sort (DESIGN.md §2g): lay each active store out in the
+  // canonical (cell, id) order of the CellIndex do_reindex just built, after
+  // which the index is the identity and the collide/deposit traversals
+  // stream memory linearly. The sort only changes memory layout — traversal
+  // semantics are owned by CellIndex — so every observable is bit-identical
+  // for any sort_every. Layout work has no physical analogue, so it runs
+  // outside any superstep and charges no virtual time (wall-clock cost is
+  // visible via the "sort" host-profiler scope and a trace instant).
+  const obs::HostProfiler::Scope prof(prof_, "sort");
+  kexec_.for_tasks(active_, [&](int r) {
+    cell_index_[r].gather_store(stores_[r], sort_scratch_[r], removed_[r]);
+  });
+}
+
+void CoupledSolver::do_colli_react(bool sorted) {
   // Colli_React reuses the CellIndex that do_reindex just built: reindex
   // numbered ids in index order, so each cell's list is still id-ascending,
-  // and nothing touches the store in between.
-  //
-  // Periodic cell sort (DESIGN.md §2g): lay each store out in that index's
-  // canonical (cell, id) order, after which the index is the identity and
-  // the collide/deposit traversals stream memory linearly. The sort only
-  // changes memory layout — traversal semantics are owned by CellIndex — so
-  // every observable is bit-identical for any sort_every. Layout work has no
-  // physical analogue, so it charges no virtual time (wall-clock cost is
-  // visible via the "sort" host-profiler scope and a trace instant).
-  const bool sorted =
-      cfg_.sort_every > 0 && step_ % cfg_.sort_every == 0;
-  rt_->superstep(phases::kColliReact, [&](par::Comm& c) {
+  // and only the layout-preserving cell sort touches the store in between.
+  superstep("collide", phases::kColliReact, [&](par::Comm& c, RankTally& t) {
     const int r = c.rank();
-    dsmc::CellIndex& index = cell_index_[r];
-    if (sorted) {
-      const obs::HostProfiler::Scope prof(prof_, "sort");
-      index.gather_store(stores_[r], sort_scratch_[r], removed_[r]);
-    }
-    dsmc::CollisionStats cs;
-    {
-      const obs::HostProfiler::Scope prof(prof_, "collide");
-      cs = collide_->collide_cells(stores_[r], index, my_cells_[r],
-                                   cfg_.dt_dsmc, step_, &kexec_,
-                                   &collide_scratch_[r]);
-    }
+    const dsmc::CellIndex& index = cell_index_[r];
+    const dsmc::CollisionStats cs =
+        collide_->collide_cells(stores_[r], index, my_cells_[r], cfg_.dt_dsmc,
+                                step_, &kexec_, &collide_scratch_[r]);
     removed_[r].resize(stores_[r].size(), 0);  // chemistry appended ions
-    dsmc::ChemistryStats rs;
-    {
-      const obs::HostProfiler::Scope prof(prof_, "react");
-      rs = chemistry_->recombine(stores_[r], index, my_cells_[r], coarse_,
-                                 cfg_.dt_dsmc, step_, removed_[r],
-                                 &kexec_);
-    }
+    const dsmc::ChemistryStats rs =
+        chemistry_->recombine(stores_[r], index, my_cells_[r], coarse_,
+                              cfg_.dt_dsmc, step_, removed_[r], &kexec_);
     c.charge(par::WorkKind::kCollide, static_cast<double>(cs.candidates));
     c.charge(par::WorkKind::kReact,
              static_cast<double>(cs.ionizations + rs.recombinations));
-    per_rank[r] = {cs.collisions, cs.ionizations, rs.recombinations};
+    t.collisions = cs.collisions;
+    t.ionizations = cs.ionizations;
+    t.recombinations = rs.recombinations;
   });
-  for (const RankStats& s : per_rank) {
-    diag.collisions += s.collisions;
-    diag.ionizations += s.ionizations;
-    diag.recombinations += s.recombinations;
-  }
   // Each ionization appended one H+ to a store; recombination flags are
   // consumed by the next exchange (counted there via flagged_count).
-  if (auditor_) auditor_->on_spawned(diag.ionizations);
+  if (auditor_) auditor_->on_spawned(rec_.ionizations);
   if (sorted)
     if (trace::TraceRecorder* tr = rt_->tracer())
       tr->add_instant(-1, "sort @ step " + std::to_string(step_),
                       rt_->total_time());
 }
 
-void CoupledSolver::do_pic_substep(int substep, StepDiagnostics& diag) {
+void CoupledSolver::do_pic_substep(int substep) {
   const double dt = cfg_.dt_pic();
   const int pic_step = step_ * cfg_.pic_substeps + substep;
-  std::vector<std::int64_t> exited(pcfg_.nranks, 0), lost(pcfg_.nranks, 0);
-  rt_->superstep(phases::kPicMove, [&](par::Comm& c) {
+  superstep("move", phases::kPicMove, [&](par::Comm& c, RankTally& t) {
     const int r = c.rank();
-    const obs::HostProfiler::Scope prof(prof_, "move");
     auto& store = stores_[r];
     auto px = store.px(), py = store.py(), pz = store.pz();
     auto vx = store.vx(), vy = store.vy(), vz = store.vz();
@@ -427,43 +426,43 @@ void CoupledSolver::do_pic_substep(int substep, StepDiagnostics& diag) {
       st.walk_steps += chunk_st[ch].walk_steps;
       st.exited += chunk_st[ch].exited;
       pushed += chunk_pushed[ch];
-      lost[r] += chunk_lost[ch];
+      t.pic_lost += chunk_lost[ch];
     }
     c.charge(par::WorkKind::kFieldGather, static_cast<double>(pushed));
     c.charge(par::WorkKind::kBorisPush, static_cast<double>(pushed));
     c.charge(par::WorkKind::kMove, static_cast<double>(st.moved));
     c.charge(par::WorkKind::kWalkStep, static_cast<double>(st.walk_steps));
-    exited[r] = st.exited;
+    t.exited_pic = st.exited;
   });
-  for (int r = 0; r < pcfg_.nranks; ++r) {
-    diag.exited_pic += exited[r];
-    diag.pic_lost += lost[r];
-  }
 
-  diag.migrated_pic +=
-      audited_exchange(phases::kPicExchange, owner_, &neighbors_).migrated;
-  do_poisson_solve(diag);
+  rec_.migrated_pic +=
+      audited_exchange("exchange", phases::kPicExchange, owner_, &neighbors_)
+          .migrated;
+  do_poisson_solve();
 }
 
-void CoupledSolver::do_poisson_solve(StepDiagnostics& diag) {
+void CoupledSolver::do_poisson_solve() {
   const std::string phase = phases::kPoissonSolve;
   auto node_charge = nodex_->make_values();
-
-  rt_->superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
+  {
     const obs::HostProfiler::Scope prof(prof_, "deposit");
-    const pic::DepositStats st = pic::deposit_charge(
-        stores_[r], *fine_, species_, nodex_->rank_nodes(r), removed_[r],
-        node_charge[r], &kexec_, &deposit_scratch_[r]);
-    c.charge(par::WorkKind::kDeposit, static_cast<double>(st.deposited));
-  });
-  if (cfg_.fault == FaultInjection::kSkewDeposit && !node_charge[0].empty()) {
-    node_charge[0][0] += 1.0;  // one spurious coulomb on one node
-    fault_fired_ = true;
+    superstep("deposit", phase, [&](par::Comm& c, RankTally&) {
+      const int r = c.rank();
+      const pic::DepositStats st = pic::deposit_charge(
+          stores_[r], *fine_, species_, nodex_->rank_nodes(r), removed_[r],
+          node_charge[r], &kexec_, &deposit_scratch_[r]);
+      c.charge(par::WorkKind::kDeposit, static_cast<double>(st.deposited));
+    });
+    if (cfg_.fault == FaultInjection::kSkewDeposit &&
+        !node_charge[0].empty()) {
+      node_charge[0][0] += 1.0;  // one spurious coulomb on one node
+      fault_fired_ = true;
+    }
+    nodex_->reduce_to_owners(*rt_, phase, node_charge);
   }
-  nodex_->reduce_to_owners(*rt_, phase, node_charge);
 
   if (auditor_) {
+    const obs::HostProfiler::Scope prof(prof_, "audit");
     // Re-sum the charge the deposit should have scattered: every live
     // charged particle the fine locate can place, q * fnum each. Pure read;
     // particle order differs from the scatter order, hence the rel tol.
@@ -483,9 +482,10 @@ void CoupledSolver::do_poisson_solve(StepDiagnostics& diag) {
     auditor_->check_charge(expected, nodex_->sum_owned(node_charge));
   }
 
+  const obs::HostProfiler::Scope prof(prof_, "field_solve");
   // Per-rank RHS over owned rows.
   linalg::DistVector b(active_);
-  rt_->superstep(phase, [&](par::Comm& c) {
+  superstep("field_solve", phase, [&](par::Comm& c, RankTally&) {
     const int r = c.rank();
     const auto& owned = dmat_.layout.owned[r];
     const auto& li = owned_node_li_[r];
@@ -499,12 +499,9 @@ void CoupledSolver::do_poisson_solve(StepDiagnostics& diag) {
   if (!cfg_.poisson.warm_start) {
     for (auto& xr : x_) std::fill(xr.begin(), xr.end(), 0.0);
   }
-  linalg::SolveResult res;
-  {
-    const obs::HostProfiler::Scope prof(prof_, "field_solve");
-    res = linalg::dist_cg(*rt_, phase, dmat_, b, x_, cfg_.poisson);
-  }
-  diag.poisson_iterations = res.iterations;
+  const linalg::SolveResult res =
+      linalg::dist_cg(*rt_, phase, dmat_, b, x_, cfg_.poisson);
+  rec_.poisson_iterations = res.iterations;
   if (auditor_)
     auditor_->check_poisson(res.iterations, res.residual, cfg_.poisson.rel_tol,
                             res.converged);
@@ -515,7 +512,7 @@ void CoupledSolver::do_poisson_solve(StepDiagnostics& diag) {
     for (std::size_t i = 0; i < owned.size(); ++i)
       phi_global_[owned[i]] = x_[r][i];
   }
-  rt_->superstep(phase, [&](par::Comm& c) {
+  superstep("field_solve", phase, [&](par::Comm& c, RankTally&) {
     const int r = c.rank();
     const auto& li = owned_node_li_[r];
     for (std::size_t i = 0; i < li.size(); ++i) phi_local_[r][li[i]] = x_[r][i];
@@ -523,7 +520,8 @@ void CoupledSolver::do_poisson_solve(StepDiagnostics& diag) {
   nodex_->broadcast_from_owners(*rt_, phase, phi_local_);
 }
 
-void CoupledSolver::maybe_rebalance(StepDiagnostics& diag) {
+void CoupledSolver::maybe_rebalance() {
+  const obs::HostProfiler::Scope prof(prof_, "rebalance");
   if (pcfg_.nranks <= 1) return;
   ++steps_since_rebalance_;
 
@@ -547,7 +545,7 @@ void CoupledSolver::maybe_rebalance(StepDiagnostics& diag) {
   prev_busy_ = cur;
 
   const double lii = balance::load_imbalance_indicator(wt, wpm, wpoi);
-  diag.lii = lii;
+  rec_.lii = lii;
   lb_stats_.last_lii = lii;
   ++lb_stats_.checks;
 
@@ -582,7 +580,7 @@ void CoupledSolver::maybe_rebalance(StepDiagnostics& diag) {
   // The ensemble moves first at a period boundary: a resize already
   // repartitions onto the new active set, so a same-step rebalance would be
   // redundant churn. steps_since_rebalance_ resets inside on a resize.
-  maybe_resize_ensemble(diag);
+  maybe_resize_ensemble();
   if (steps_since_rebalance_ == 0) return;
 
   if (!lb.enabled) return;
@@ -604,13 +602,13 @@ void CoupledSolver::maybe_rebalance(StepDiagnostics& diag) {
   const bool estimate_learned = policy_.rebalances_observed() > 0;
   const double estimate_before = policy_.rebalance_cost_estimate();
 
-  const obs::HostProfiler::Scope prof_rb(prof_, "rebalance");
   const std::vector<std::int32_t> new_owner = balance::redecompose(
       *rt_, phases::kRebalance, dual_, coarse_.centroids(), counts.neutrals,
       counts.charged, owner_, lb, lb_stats_, weights);
 
   // Work redistribution: migrate particles to their new owners.
-  audited_exchange(phases::kRebalance, new_owner, /*neighbors=*/nullptr);
+  audited_exchange("rebalance", phases::kRebalance, new_owner,
+                   /*neighbors=*/nullptr);
   owner_ = new_owner;
   rebuild_parallel_structures(phases::kRebalance, /*charge_costs=*/true);
 
@@ -632,19 +630,16 @@ void CoupledSolver::maybe_rebalance(StepDiagnostics& diag) {
   }
 
   steps_since_rebalance_ = 0;
-  diag.rebalanced = true;
+  rec_.rebalanced = true;
 }
 
-void CoupledSolver::maybe_resize_ensemble(StepDiagnostics& diag) {
+void CoupledSolver::maybe_resize_ensemble() {
   if (pcfg_.balance.ensemble.kind != balance::EnsembleKind::kElastic) return;
   const int target = ensemble_.decide(step_, active_);
   if (target == active_) return;
-  {
-    const obs::HostProfiler::Scope prof(prof_, "rebalance");
-    resize_active(target);
-  }
+  resize_active(target);
   steps_since_rebalance_ = 0;
-  diag.rebalanced = true;
+  rec_.rebalanced = true;
   if (trace::TraceRecorder* tr = rt_->tracer())
     tr->add_instant(-1,
                     "ensemble resize -> " + std::to_string(active_) +
@@ -675,7 +670,8 @@ void CoupledSolver::resize_active(int target) {
   // Dense fallback even under Strategy::kNeighbor: a resize moves cells
   // wholesale, so the steady-state partition adjacency says nothing about
   // who talks to whom here.
-  audited_exchange(phases::kRebalance, new_owner, /*neighbors=*/nullptr);
+  audited_exchange("rebalance", phases::kRebalance, new_owner,
+                   /*neighbors=*/nullptr);
   owner_ = new_owner;
   if (!grow) {
     rt_->set_active_ranks(target);
@@ -742,49 +738,49 @@ par::PhaseStats CoupledSolver::exchange_totals() const {
   return sum;
 }
 
-void CoupledSolver::close_record(StepDiagnostics& rec) {
-  rec.particles_per_rank = particles_per_rank();
+void CoupledSolver::close_record() {
+  rec_.particles_per_rank = particles_per_rank();
   for (const auto& store : stores_) {
-    rec.total_h += store.count_species(dsmc::kSpeciesH);
-    rec.total_hplus += store.count_species(dsmc::kSpeciesHPlus);
+    rec_.total_h += store.count_species(dsmc::kSpeciesH);
+    rec_.total_hplus += store.count_species(dsmc::kSpeciesHPlus);
   }
-  rec.supersteps = rt_->supersteps();
-  rec.virtual_time = rt_->total_time();
-  rec.active_ranks = active_;
+  rec_.supersteps = rt_->supersteps();
+  rec_.virtual_time = rt_->total_time();
+  rec_.active_ranks = active_;
   const par::PhaseStats exch = exchange_totals();
-  rec.exchange_bytes = exch.bytes - prev_exch_.bytes;
-  rec.exchange_messages = exch.transactions - prev_exch_.transactions;
+  rec_.exchange_bytes = exch.bytes - prev_exch_.bytes;
+  rec_.exchange_messages = exch.transactions - prev_exch_.transactions;
   prev_exch_ = exch;
 }
 
-void CoupledSolver::record_trace(const StepDiagnostics& rec) {
+void CoupledSolver::record_trace() {
   trace::TraceRecorder* tr = rt_->tracer();
   if (!tr) return;
   trace::MetricsRegistry& m = tr->metrics();
-  const std::int64_t step = rec.dsmc_step;
+  const std::int64_t step = rec_.dsmc_step;
   for (int r = 0; r < pcfg_.nranks; ++r) {
     m.add("particles_owned", step, r,
-          static_cast<double>(rec.particles_per_rank[r]), rt_->clock(r));
+          static_cast<double>(rec_.particles_per_rank[r]), rt_->clock(r));
     m.add("cells_owned", step, r, static_cast<double>(my_cells_[r].size()),
           rt_->clock(r));
   }
-  const double t = rec.virtual_time;
-  m.add("lii", step, -1, rec.lii, t);
-  m.add("migrated_dsmc", step, -1, static_cast<double>(rec.migrated_dsmc), t);
-  m.add("migrated_pic", step, -1, static_cast<double>(rec.migrated_pic), t);
-  m.add("bytes_migrated", step, -1, rec.exchange_bytes, t);
-  if (rec.rebalanced)
+  const double t = rec_.virtual_time;
+  m.add("lii", step, -1, rec_.lii, t);
+  m.add("migrated_dsmc", step, -1, static_cast<double>(rec_.migrated_dsmc), t);
+  m.add("migrated_pic", step, -1, static_cast<double>(rec_.migrated_pic), t);
+  m.add("bytes_migrated", step, -1, rec_.exchange_bytes, t);
+  if (rec_.rebalanced)
     tr->add_instant(-1, "rebalance @ step " + std::to_string(step), t);
 }
 
-void CoupledSolver::record_telemetry(StepDiagnostics& rec) {
+void CoupledSolver::record_telemetry() {
   if (!telemetry_) return;
   for (const std::string& name : rt_->phases())
-    rec.phases.push_back(phase_record(name, rt_->phase_stats(name)));
+    rec_.phases.push_back(phase_record(name, rt_->phase_stats(name)));
   const par::PoolStats pool = rt_->pool_stats();
-  rec.pool_acquires = pool.acquires;
-  rec.pool_misses = pool.misses;
-  rec.pool_recycles = pool.recycles;
+  rec_.pool_acquires = pool.acquires;
+  rec_.pool_misses = pool.misses;
+  rec_.pool_recycles = pool.recycles;
 
   double scale_min = 0.0, scale_max = 0.0, scale_sum = 0.0;
   for (int r = 0; r < active_; ++r) {
@@ -793,18 +789,18 @@ void CoupledSolver::record_telemetry(StepDiagnostics& rec) {
     if (r == 0 || sc > scale_max) scale_max = sc;
     scale_sum += sc;
   }
-  rec.cost_scale_min = scale_min;
-  rec.cost_scale_max = scale_max;
-  rec.cost_scale_mean = active_ > 0 ? scale_sum / active_ : 1.0;
+  rec_.cost_scale_min = scale_min;
+  rec_.cost_scale_max = scale_max;
+  rec_.cost_scale_mean = active_ > 0 ? scale_sum / active_ : 1.0;
 
   for (const balance::PolicyDecision& d : policy_.decisions())
-    if (d.step == rec.dsmc_step) rec.decisions.push_back(decision_record(d));
+    if (d.step == rec_.dsmc_step) rec_.decisions.push_back(decision_record(d));
 
   if (auditor_) {
-    rec.audit_checks = auditor_->report().checks();
-    rec.audit_violations = auditor_->report().violations();
+    rec_.audit_checks = auditor_->report().checks();
+    rec_.audit_violations = auditor_->report().violations();
   }
-  telemetry_->on_step(rec);
+  telemetry_->on_step(rec_);
 }
 
 StepDiagnostics CoupledSolver::step() {
@@ -835,36 +831,42 @@ StepDiagnostics CoupledSolver::step() {
 }
 
 StepDiagnostics CoupledSolver::step_impl() {
-  StepDiagnostics diag;
-  diag.dsmc_step = step_;
-
-  if (auditor_) auditor_->begin_step(step_, total_particles());
-  do_inject(diag);
-  do_dsmc_move(diag);
+  // The paper's step (§III-B), one host-profiler row per call: inject, move
+  // + exchange, reindex, sort, collide, then per PIC substep move +
+  // exchange + deposit (+ audit) + field_solve, then sample, rebalance and
+  // record.
+  rec_ = StepDiagnostics{};
+  rec_.dsmc_step = step_;
+  do_inject();
+  do_dsmc_move();
   do_reindex();
-  do_colli_react(diag);
-  for (int k = 0; k < cfg_.pic_substeps; ++k) do_pic_substep(k, diag);
-
-  sampler_.begin_snapshot();
-  for (const auto& store : stores_) sampler_.accumulate(store);
-  maybe_rebalance(diag);
-
-  close_record(diag);
-  record_trace(diag);
-
-  if (auditor_) {
-    auditor_->check_ownership(owner_, active_, my_cells_);
-    auditor_->end_step(
-        total_particles(),
-        static_cast<std::int64_t>(rt_->undelivered_messages()));
+  const bool sorted = cfg_.sort_every > 0 && step_ % cfg_.sort_every == 0;
+  if (sorted) do_cell_sort();
+  do_colli_react(sorted);
+  for (int k = 0; k < cfg_.pic_substeps; ++k) do_pic_substep(k);
+  {
+    const obs::HostProfiler::Scope prof(prof_, "sample");
+    sampler_.begin_snapshot();
+    for (const auto& store : stores_) sampler_.accumulate(store);
   }
-  // After the auditor closed the step, so the sample carries this step's
-  // full audit tallies; an abort above leaves this step out of the flight
-  // recorder (only COMPLETED supersteps are recorded).
-  record_telemetry(diag);
-
+  maybe_rebalance();
+  {
+    const obs::HostProfiler::Scope prof(prof_, "record");
+    close_record();
+    record_trace();
+    if (auditor_) {
+      auditor_->check_ownership(owner_, active_, my_cells_);
+      auditor_->end_step(
+          total_particles(),
+          static_cast<std::int64_t>(rt_->undelivered_messages()));
+    }
+    // After the auditor closed the step, so the sample carries this step's
+    // full audit tallies; an abort above leaves this step out of the flight
+    // recorder (only COMPLETED supersteps are recorded).
+    record_telemetry();
+  }
   ++step_;
-  history_.push_back(std::move(diag));
+  history_.push_back(std::move(rec_));
   return history_.back();
 }
 

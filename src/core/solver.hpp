@@ -13,6 +13,7 @@
 // serial reference implementation used by the validation experiment.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -135,10 +136,12 @@ class CoupledSolver {
   void set_auditor(obs::HealthAuditor* auditor) { auditor_ = auditor; }
   obs::HealthAuditor* auditor() const { return auditor_; }
 
-  /// Attaches a host wall-clock profiler; nullptr detaches. Scopes open
-  /// inside superstep bodies (move/collide/react/deposit) and around the
-  /// driver-side stages (field_solve/exchange/rebalance); samples live only
-  /// in the profiler, strictly outside deterministic state.
+  /// Attaches a host wall-clock profiler; nullptr detaches. Every scope
+  /// opens on the driver thread, one per row of the step (inject, move,
+  /// exchange, reindex, sort, collide, deposit, audit, field_solve, sample,
+  /// rebalance, record), so the rows are disjoint and sum to at most the
+  /// wall time of step(). Samples live only in the profiler, strictly
+  /// outside deterministic state.
   void set_host_profiler(obs::HostProfiler* prof) { prof_ = prof; }
   obs::HostProfiler* host_profiler() const { return prof_; }
 
@@ -169,19 +172,34 @@ class CoupledSolver {
   /// `phase` when charge_costs is true.
   void rebuild_parallel_structures(const std::string& phase, bool charge_costs);
 
+  /// StepRecord counters a superstep body may add to: each body writes only
+  /// its own rank's slot, and superstep() folds the slots into rec_.
+  struct RankTally {
+    std::int64_t injected = 0, exited_dsmc = 0, collisions = 0,
+                 ionizations = 0, recombinations = 0, exited_pic = 0,
+                 pic_lost = 0;
+  };
+  /// The one runner of the step's supersteps: opens the host-profiler
+  /// `scope` on the driver thread (joining it when the caller's row already
+  /// holds it open), runs `body` on every active rank under runtime `phase`
+  /// with that rank's zeroed tally slot, then adds the slots into rec_ in
+  /// rank order.
+  void superstep(const char* scope, const std::string& phase,
+                 const std::function<void(par::Comm&, RankTally&)>& body);
+
   /// Stage 1 of the step record, before the auditor closes the step: the
   /// end-of-step ledger, clocks and this step's exchange deltas.
-  void close_record(StepDiagnostics& rec);
+  void close_record();
   /// Migration bytes and messages routed so far (DSMC + PIC exchange and
   /// rebalance migration); the step-boundary baseline is a copy of it.
   par::PhaseStats exchange_totals() const;
   /// Trace sink: feeds the attached recorder's per-step counters
   /// (particles/cells owned per rank, migration volume, lii) and marks
   /// rebalances as instant events. No-op without a recorder.
-  void record_trace(const StepDiagnostics& rec);
+  void record_trace();
   /// Stage 2 of the step record, after the auditor closed the step, and the
   /// hub sink. No-op without a hub.
-  void record_telemetry(StepDiagnostics& rec);
+  void record_telemetry();
   /// step() body; step() wraps it to dump the flight recorder on abort.
   StepDiagnostics step_impl();
 
@@ -189,21 +207,24 @@ class CoupledSolver {
   /// the next exchange must produce. Audit-only read.
   std::int64_t flagged_count() const;
 
-  /// Routes every particle to `owner`'s rank under `phase`, with the
-  /// auditor's flagged/conservation books around it ("exchange" host scope).
+  /// Routes every particle to `owner`'s rank under runtime `phase`, with
+  /// the auditor's flagged/conservation books around it, in host `scope`.
   exchange::ExchangeStats audited_exchange(
-      const char* phase, std::span<const std::int32_t> owner,
+      const char* scope, const char* phase,
+      std::span<const std::int32_t> owner,
       const std::vector<std::vector<int>>* neighbors);
 
-  void do_inject(StepDiagnostics& diag);
-  void do_dsmc_move(StepDiagnostics& diag);
+  // The step's rows, in order; each opens its own host-profiler scope.
+  void do_inject();
+  void do_dsmc_move();
   void do_reindex();
-  void do_colli_react(StepDiagnostics& diag);
-  void do_pic_substep(int substep, StepDiagnostics& diag);
-  void do_poisson_solve(StepDiagnostics& diag);
-  void maybe_rebalance(StepDiagnostics& diag);
+  void do_cell_sort();
+  void do_colli_react(bool sorted);
+  void do_pic_substep(int substep);
+  void do_poisson_solve();
+  void maybe_rebalance();
   /// Elastic-ensemble resize check at rebalance-period boundaries (§2i).
-  void maybe_resize_ensemble(StepDiagnostics& diag);
+  void maybe_resize_ensemble();
   /// Repartitions into `target` parts, migrates particles, and resizes the
   /// runtime's active rank set (grow activates before migration so new
   /// ranks can receive; shrink migrates first so parked ranks drain).
@@ -283,6 +304,8 @@ class CoupledSolver {
   balance::RebalancePolicy policy_;
   balance::EnsemblePolicy ensemble_;
   std::vector<StepDiagnostics> history_;
+  StepDiagnostics rec_;             // the step in progress
+  std::vector<RankTally> tally_;    // per rank, reset by every superstep()
 
   obs::HealthAuditor* auditor_ = nullptr;  // not owned
   obs::HostProfiler* prof_ = nullptr;      // not owned

@@ -142,10 +142,11 @@ class ParticleStore {
 ///
 /// The solver builds one index per rank per DSMC step, in Reindex, and
 /// Colli_React reuses it: Reindex numbers ids in index order, so the lists
-/// stay id-ascending under the new ids, and nothing touches the store
-/// between the two phases. On cell-sort steps gather_store() lays the store
-/// out in the index's (cell, id) order, after which the items are the
-/// identity and particles_in() spans are contiguous slices of memory.
+/// stay id-ascending under the new ids, and only the cell sort touches the
+/// store between the two phases. On cell-sort steps gather_store() lays
+/// the store out in the index's (cell, id) order, after which the items
+/// are the identity and particles_in() spans are contiguous slices of
+/// memory.
 class CellIndex {
  public:
   CellIndex() = default;

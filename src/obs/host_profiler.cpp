@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string_view>
 
 namespace dsmcpic::obs {
 
@@ -22,6 +23,14 @@ double HostProfiler::now_ms() {
 HostProfiler::Scope::Scope(HostProfiler* prof, const char* name)
     : prof_(prof) {
   if (!prof_) return;
+  const std::size_t last = t_scope_path.find_last_of('/');
+  const std::string_view innermost =
+      std::string_view(t_scope_path)
+          .substr(last == std::string::npos ? 0 : last + 1);
+  if (!t_scope_path.empty() && innermost == name) {
+    prof_ = nullptr;  // joins the open scope of the same name
+    return;
+  }
   if (!t_scope_path.empty()) t_scope_path += '/';
   t_scope_path += name;
   t0_ms_ = now_ms();

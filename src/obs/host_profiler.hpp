@@ -2,9 +2,10 @@
 // Host wall-clock profiler (DESIGN.md §2f). Where the trace subsystem
 // records *virtual* time — the machine-model seconds the paper reasons
 // about — this records *real* milliseconds spent in the solver's kernels
-// on the host running the simulation: move / collide / react / deposit /
-// field_solve / exchange / rebalance. It answers "is THIS machine getting
-// slower", the question the bench regression gate
+// on the host running the simulation, one scope per row of the coupled
+// step (inject / move / exchange / reindex / sort / collide / deposit /
+// audit / field_solve / sample / rebalance / record). It answers "is THIS
+// machine getting slower", the question the bench regression gate
 // (scripts/check_bench_regression.py) automates for bench_kernels.
 //
 // Contract with the deterministic core:
@@ -12,19 +13,20 @@
 //    profiler; nothing reads them back into physics, clocks, RNG streams
 //    or traces, so golden digests and trace bytes are bit-identical with
 //    the profiler attached or not (tests/obs_test.cpp);
-//  * thread-aware — scopes may open on any thread: each superstep spends
-//    the runtime's pool on rank bodies or on the kernel chunks inside
-//    them (DESIGN.md §2c).
-//    Recording is mutex-protected, and the nesting stack that builds
-//    hierarchical names ("rebalance/exchange") is thread-local so lanes
-//    never see each other's open scopes.
+//  * driver-scoped — CoupledSolver opens every scope on its driver thread,
+//    around a whole row (superstep plus the driver work around it), never
+//    inside a rank body or kernel chunk on the pool. Each row execution is
+//    one sample, so counts do not depend on the thread budget and the
+//    top-level totals are disjoint and sum to at most the wall time.
+//    Recording stays mutex-protected and the nesting stack that builds
+//    hierarchical names ("outer/inner") stays thread-local, so callers
+//    that time their own threads (bench_kernels) remain safe.
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
-
-#include <mutex>
 
 namespace dsmcpic::obs {
 
@@ -41,7 +43,10 @@ class HostProfiler {
   };
 
   /// RAII timing scope. Opening a scope pushes `name` onto the calling
-  /// thread's nesting stack; nested scopes record under "outer/inner".
+  /// thread's nesting stack; nested scopes record under "outer/inner". A
+  /// scope named like the innermost open one joins it: no sample and no
+  /// "name/name" path, so a row can wrap driver work around a superstep
+  /// that opens the row's scope itself.
   class Scope {
    public:
     Scope(HostProfiler* prof, const char* name);  // prof may be null (no-op)

@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -155,6 +158,19 @@ TEST(HostProfiler, ScopesBuildHierarchicalNames) {
   EXPECT_EQ(stats.count("rebalance/exchange"), 1u);
   EXPECT_EQ(stats.count("exchange"), 1u);
   EXPECT_EQ(prof.sample_count(), 3);
+}
+
+TEST(HostProfiler, ScopeNamedLikeTheOpenOneJoinsIt) {
+  obs::HostProfiler prof;
+  {
+    const obs::HostProfiler::Scope row(&prof, "deposit");
+    const obs::HostProfiler::Scope joined(&prof, "deposit");
+    const obs::HostProfiler::Scope inner(&prof, "reduce");
+  }
+  const auto stats = prof.stats();
+  ASSERT_EQ(stats.size(), 2u);
+  EXPECT_EQ(stats.at("deposit").count, 1);
+  EXPECT_EQ(stats.at("deposit/reduce").count, 1);
 }
 
 TEST(HostProfiler, NullProfilerScopeIsANoOp) {
@@ -468,6 +484,71 @@ TEST(AuditPerturbation, HoldsUnderThreadedExecAndKernelThreads) {
     EXPECT_EQ(audited.digest, plain.digest);
     EXPECT_EQ(audited.audit.violations(), 0);
     EXPECT_GT(audited.profile_samples, 0);
+  }
+}
+
+// Every row of the step is one driver-thread scope, so what the profiler
+// holds is a function of the step count alone: the same names and counts at
+// every thread budget, each row once per execution, and disjoint rows that
+// fit inside the wall time of run().
+TEST(HostProfiler, OneSamplePerRowAtEveryThreadBudget) {
+  constexpr int kSteps = 6;
+  constexpr int kSortEvery = 4;  // steps 0 and 4 sort
+  for (const int threads : {1, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SolverConfig cfg = tiny_config();
+    cfg.sort_every = kSortEvery;
+    ParallelConfig par;
+    par.nranks = 6;
+    par.threads = threads;
+    par.balance.enabled = true;
+    par.balance.period = 3;
+    par.balance.threshold = 1.01;
+    obs::HealthAuditor auditor({obs::AuditSeverity::kAbort});
+    obs::HostProfiler prof;
+    CoupledSolver solver(cfg, par);
+    solver.set_auditor(&auditor);
+    solver.set_host_profiler(&prof);
+    const double t0 = obs::HostProfiler::now_ms();
+    solver.run(kSteps);
+    const double wall_ms = obs::HostProfiler::now_ms() - t0;
+    ASSERT_GT(solver.rebalance_stats().rebalances, 0)
+        << "the rebalance row's migration and rebuild were not exercised";
+
+    const std::int64_t substeps = cfg.pic_substeps;
+    const std::map<std::string, std::int64_t> want = {
+        {"inject", kSteps},
+        {"move", kSteps * (1 + substeps)},
+        {"exchange", kSteps * (1 + substeps)},
+        {"reindex", kSteps},
+        {"sort", 2},
+        {"collide", kSteps},
+        {"deposit", kSteps * substeps},
+        {"audit", kSteps * substeps},
+        {"field_solve", kSteps * substeps},
+        {"sample", kSteps},
+        {"rebalance", kSteps},
+        {"record", kSteps},
+    };
+    std::map<std::string, std::int64_t> got;
+    std::set<std::string> nested;
+    double top_ms = 0.0;
+    for (const auto& [name, st] : prof.stats()) {
+      const std::size_t slash = name.find('/');
+      if (slash == std::string::npos) {
+        got[name] = st.count;
+        top_ms += st.total_ms;
+      } else {
+        for (std::size_t b = slash + 1, e; b <= name.size(); b = e + 1) {
+          e = std::min(name.find('/', b), name.size());
+          nested.insert(name.substr(b, e - b));
+        }
+      }
+    }
+    EXPECT_EQ(got, want);
+    for (const std::string& name : nested)
+      EXPECT_EQ(got.count(name), 0u) << name << " is both nested and top-level";
+    EXPECT_LE(top_ms, wall_ms);
   }
 }
 
