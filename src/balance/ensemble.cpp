@@ -100,7 +100,15 @@ void EnsemblePolicy::save(std::ostream& os) const {
   io::write_pod(os, overhead_ewma_);
   io::write_pod(os, has_observation_);
   io::write_pod(os, resizes_);
-  io::write_vec(os, decisions_);
+  // Field by field: the struct's padding bytes are uninitialised.
+  io::write_pod<std::uint64_t>(os, decisions_.size());
+  for (const EnsembleDecision& d : decisions_) {
+    io::write_pod(os, d.step);
+    io::write_pod(os, d.compute_ewma);
+    io::write_pod(os, d.overhead_ewma);
+    io::write_pod(os, d.target);
+    io::write_pod(os, d.resized);
+  }
 }
 
 void EnsemblePolicy::load(std::istream& is) {
@@ -108,7 +116,16 @@ void EnsemblePolicy::load(std::istream& is) {
   overhead_ewma_ = io::read_pod<double>(is);
   has_observation_ = io::read_pod<bool>(is);
   resizes_ = io::read_pod<int>(is);
-  decisions_ = io::read_vec<EnsembleDecision>(is);
+  const auto n = io::read_pod<std::uint64_t>(is);
+  io::check_length(is, n, 2 * sizeof(int) + 2 * sizeof(double) + sizeof(bool));
+  decisions_.resize(n);
+  for (EnsembleDecision& d : decisions_) {
+    d.step = io::read_pod<int>(is);
+    d.compute_ewma = io::read_pod<double>(is);
+    d.overhead_ewma = io::read_pod<double>(is);
+    d.target = io::read_pod<int>(is);
+    d.resized = io::read_pod<bool>(is);
+  }
 }
 
 }  // namespace dsmcpic::balance

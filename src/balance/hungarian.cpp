@@ -15,28 +15,38 @@ AssignmentResult hungarian_min(std::span<const double> cost, int n) {
 
   // Potentials formulation over a (n+1)-sized index space; p[j] is the row
   // matched to column j (0 = dummy). 1-based internally, classic e-maxx form.
-  std::vector<double> u(n + 1, 0.0), v(n + 1, 0.0);
+  // The columns not yet used in a row's search sit in `free_cols`, kept
+  // ascending so the scan breaks ties towards the smallest column exactly
+  // like a 1..n loop over a used flag; the used ones sit in `used_cols`,
+  // whose order does not matter (each updates a distinct u and v entry).
+  std::vector<double> u(n + 1, 0.0), v(n + 1, 0.0), minv(n + 1);
   std::vector<int> p(n + 1, 0), way(n + 1, 0);
+  std::vector<int> free_cols, used_cols;
+  free_cols.reserve(n);
+  used_cols.reserve(n + 1);
   std::int64_t ops = 0;
-
-  auto c = [&](int i, int j) {  // 1-based accessor
-    return cost[static_cast<std::size_t>(i - 1) * n + (j - 1)];
-  };
 
   for (int i = 1; i <= n; ++i) {
     p[0] = i;
     int j0 = 0;
-    std::vector<double> minv(n + 1, kInf);
-    std::vector<char> used(n + 1, 0);
+    std::fill(minv.begin(), minv.end(), kInf);
+    free_cols.resize(n);
+    for (int j = 1; j <= n; ++j) free_cols[j - 1] = j;
+    used_cols.clear();
+    std::size_t k0 = 0;  // position of j0 in free_cols (j0 > 0)
     do {
-      used[j0] = 1;
+      if (j0 != 0) free_cols.erase(free_cols.begin() + k0);  // stays ascending
+      used_cols.push_back(j0);
       const int i0 = p[j0];
+      const double* row = cost.data() + static_cast<std::size_t>(i0 - 1) * n;
+      const double ui0 = u[i0];
       double delta = kInf;
       int j1 = -1;
-      for (int j = 1; j <= n; ++j) {
-        if (used[j]) continue;
-        ++ops;
-        const double cur = c(i0, j) - u[i0] - v[j];
+      std::size_t k1 = 0;
+      ops += static_cast<std::int64_t>(free_cols.size());
+      for (std::size_t k = 0; k < free_cols.size(); ++k) {
+        const int j = free_cols[k];
+        const double cur = row[j - 1] - ui0 - v[j];
         if (cur < minv[j]) {
           minv[j] = cur;
           way[j] = j0;
@@ -44,17 +54,16 @@ AssignmentResult hungarian_min(std::span<const double> cost, int n) {
         if (minv[j] < delta) {
           delta = minv[j];
           j1 = j;
+          k1 = k;
         }
       }
-      for (int j = 0; j <= n; ++j) {
-        if (used[j]) {
-          u[p[j]] += delta;
-          v[j] -= delta;
-        } else {
-          minv[j] -= delta;
-        }
+      for (const int j : used_cols) {
+        u[p[j]] += delta;
+        v[j] -= delta;
       }
+      for (const int j : free_cols) minv[j] -= delta;
       j0 = j1;
+      k0 = k1;
     } while (p[j0] != 0);
     // Augment along the alternating path.
     do {

@@ -25,7 +25,10 @@ constexpr std::uint64_t kMagic = 0x44534d435049434bULL;  // "DSMCPICK"
 // v4: adds the elastic-ensemble state — the solver's active rank count and
 // the ensemble policy's EWMAs/decision log — and the runtime stream gained
 // its active set and superstep counter (DESIGN.md §2i).
-constexpr std::uint32_t kVersion = 4;
+// v5: the rebalance and ensemble decision logs are written field by field
+// instead of as raw structs, so no padding bytes reach the file and two
+// identical runs write identical checkpoints.
+constexpr std::uint32_t kVersion = 5;
 
 /// A cheap fingerprint of the configuration pieces that must match between
 /// the saving and restoring solver.

@@ -19,8 +19,6 @@ DistLayout DistLayout::build(int nranks, std::span<const std::int32_t> row_owner
   l.owner.assign(row_owner.begin(), row_owner.end());
   l.owned.resize(nranks);
   l.halo.resize(nranks);
-  l.send_plan.resize(nranks);
-  l.recv_plan.resize(nranks);
 
   for (std::int32_t g = 0; g < pattern.rows(); ++g) {
     DSMCPIC_CHECK_MSG(row_owner[g] >= 0 && row_owner[g] < nranks,
@@ -53,25 +51,27 @@ DistLayout DistLayout::build(int nranks, std::span<const std::int32_t> row_owner
   };
 
   // recv plans: group each rank's halo by owner; send plans mirror them.
-  std::vector<std::map<int, DistLayout::Plan>> send_acc(nranks);
+  par::HaloPlans send_plan(nranks), recv_plan(nranks);
+  std::vector<std::map<int, par::HaloPlan>> send_acc(nranks);
   for (int r = 0; r < nranks; ++r) {
-    std::map<int, DistLayout::Plan> recv_acc;
+    std::map<int, par::HaloPlan> recv_acc;
     for (std::size_t h = 0; h < l.halo[r].size(); ++h) {
       const std::int32_t g = l.halo[r][h];
       const int p = row_owner[g];
       auto& rplan = recv_acc[p];
       rplan.peer = p;
-      rplan.idx.push_back(static_cast<std::int32_t>(h));
+      rplan.idx.push_back(
+          static_cast<std::int32_t>(l.owned[r].size() + h));
       auto& splan = send_acc[p][r];
       splan.peer = r;
       splan.idx.push_back(owned_index(p, g));
     }
-    for (auto& [peer, plan] : recv_acc)
-      l.recv_plan[r].push_back(std::move(plan));
+    for (auto& [peer, plan] : recv_acc) recv_plan[r].push_back(std::move(plan));
   }
   for (int r = 0; r < nranks; ++r)
     for (auto& [peer, plan] : send_acc[r])
-      l.send_plan[r].push_back(std::move(plan));
+      send_plan[r].push_back(std::move(plan));
+  l.halo_channel = par::Channel(std::move(send_plan), std::move(recv_plan));
   return l;
 }
 
@@ -174,36 +174,6 @@ std::vector<double> gather_vector(const DistLayout& layout, const DistVector& v)
 
 namespace {
 
-/// Ships v's owned entries listed in this rank's send plans, one message
-/// per peer.
-void send_halo(par::Comm& c, const DistLayout& l, std::span<const double> v) {
-  for (const auto& plan : l.send_plan[c.rank()]) {
-    auto buf = c.acquire_payload(plan.idx.size() * sizeof(double));
-    auto* d = reinterpret_cast<double*>(buf.data());
-    for (std::size_t i = 0; i < plan.idx.size(); ++i) d[i] = v[plan.idx[i]];
-    c.charge(par::WorkKind::kPackByte, static_cast<double>(buf.size()));
-    c.send_owned(plan.peer, /*tag=*/0, std::move(buf), par::CostClass::kGrid);
-  }
-}
-
-/// Fills v's halo suffix from this superstep's inbox. The inbox is sorted by
-/// source rank, like recv_plan, so message k fills recv_plan slot k.
-void recv_halo(const par::Comm& c, const DistLayout& l, std::span<double> v) {
-  const int r = c.rank();
-  const auto& plans = l.recv_plan[r];
-  const auto& inbox = c.inbox();
-  double* halo = v.data() + l.owned[r].size();
-  for (std::size_t k = 0; k < inbox.size(); ++k) {
-    const par::Message& msg = inbox[k];
-    DSMCPIC_CHECK_MSG(k < plans.size() && plans[k].peer == msg.src,
-                      "unexpected halo message from rank " << msg.src);
-    const std::span<const double> buf = msg.view<double>();
-    const auto& idx = plans[k].idx;
-    DSMCPIC_CHECK(buf.size() == idx.size());
-    for (std::size_t i = 0; i < buf.size(); ++i) halo[idx[i]] = buf[i];
-  }
-}
-
 /// Applies the local preconditioner z = M^-1 r on one rank's owned block.
 /// For kBlockSsor: M = (D+L) D^-1 (D+U) restricted to owned columns (block
 /// Jacobi across ranks); SPD, so CG-safe. Each sweep visits only the entries
@@ -248,10 +218,10 @@ void halo_exchange(par::Runtime& rt, const std::string& phase,
                    const DistLayout& layout,
                    std::vector<std::vector<double>>& local) {
   rt.superstep(phase, [&](par::Comm& c) {
-    send_halo(c, layout, local[c.rank()]);
+    layout.halo_channel.post(c, local[c.rank()]);
   });
   rt.superstep(phase, [&](par::Comm& c) {
-    recv_halo(c, layout, local[c.rank()]);
+    layout.halo_channel.recv_assign(c, local[c.rank()]);
   });
 }
 
@@ -285,18 +255,18 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
 
   std::vector<std::vector<double>> partials(nranks, std::vector<double>(2, 0.0));
 
-  // The halo send of p piggybacks on whichever superstep produced the new p
+  // The halo post of p piggybacks on whichever superstep produced the new p
   // (one superstep saved per CG iteration).
 
   // r = b - A x  (x is the warm start): needs one halo exchange of x.
   rt.superstep(phase, [&](par::Comm& c) {
     const int r = c.rank();
     std::copy(x[r].begin(), x[r].end(), pvec[r].begin());
-    send_halo(c, l, pvec[r]);
+    l.halo_channel.post(c, pvec[r]);
   });
   rt.superstep(phase, [&](par::Comm& c) {
     const int r = c.rank();
-    recv_halo(c, l, pvec[r]);
+    l.halo_channel.recv_assign(c, pvec[r]);
     const auto n = l.owned[r].size();
     a.local[r].matvec(pvec[r], rvec[r]);
     c.charge(par::WorkKind::kSpmvFlop, 2.0 * static_cast<double>(a.local[r].nnz()));
@@ -321,7 +291,7 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
   rt.superstep(phase, [&](par::Comm& c) {
     const int r = c.rank();
     std::copy(zvec[r].begin(), zvec[r].end(), pvec[r].begin());
-    send_halo(c, l, pvec[r]);
+    l.halo_channel.post(c, pvec[r]);
   });
 
   SolveResult res;
@@ -337,15 +307,21 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
     return std::sqrt(s[0]);
   };
   res.residual = rnorm() / bnorm;
-  if (res.residual <= opt.rel_tol) {
-    res.converged = true;
+  res.converged = res.residual <= opt.rel_tol;
+  if (res.converged || opt.max_iterations <= 0) {
+    // No iteration will read p: receive the halo posted above, so no
+    // message is left in flight (the round trip was charged when it was
+    // routed; this superstep routes nothing and costs no virtual time).
+    rt.superstep(phase, [&](par::Comm& c) {
+      l.halo_channel.recv_assign(c, pvec[c.rank()]);
+    });
     return res;
   }
 
   for (int it = 0; it < opt.max_iterations; ++it) {
     rt.superstep(phase, [&](par::Comm& c) {
       const int r = c.rank();
-      recv_halo(c, l, pvec[r]);
+      l.halo_channel.recv_assign(c, pvec[r]);
       a.local[r].matvec(pvec[r], qvec[r]);
       c.charge(par::WorkKind::kSpmvFlop,
                2.0 * static_cast<double>(a.local[r].nnz()));
@@ -387,6 +363,10 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
       res.converged = true;
       return res;
     }
+    // At the iteration cap no further iteration reads p: stop before the
+    // update that would post its halo, so no message is left in flight for
+    // whatever superstep runs next.
+    if (it + 1 == opt.max_iterations) break;
     const double beta = rz_new / rz;
     rz = rz_new;
     rt.superstep(phase, [&](par::Comm& c) {
@@ -395,7 +375,7 @@ SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
       for (std::size_t i = 0; i < n; ++i)
         pvec[r][i] = zvec[r][i] + beta * pvec[r][i];
       c.charge(par::WorkKind::kVecFlop, 2.0 * static_cast<double>(n));
-      send_halo(c, l, pvec[r]);
+      l.halo_channel.post(c, pvec[r]);
     });
   }
   return res;

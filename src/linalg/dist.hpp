@@ -7,6 +7,10 @@
 // runs with one halo exchange and two allreduce rounds per iteration — the
 // communication-to-computation ratio that makes Poisson_Solve the paper's
 // scalability bottleneck (Table IV) emerges from exactly these messages.
+// The halo's shape is fixed when the layout is built, so it travels through
+// one persistent par::Channel: each exchange packs into the channel's own
+// buffers and sends borrowed views, with no payload pool, allocation or
+// second copy per message, and the costs of owned sends of the same bytes.
 
 #include <cstdint>
 #include <span>
@@ -15,6 +19,7 @@
 
 #include "linalg/csr.hpp"
 #include "linalg/krylov.hpp"
+#include "par/channel.hpp"
 #include "par/runtime.hpp"
 
 namespace dsmcpic::linalg {
@@ -27,18 +32,12 @@ struct DistLayout {
   std::vector<std::vector<std::int32_t>> owned;  // per rank, sorted global ids
   std::vector<std::vector<std::int32_t>> halo;   // per rank, sorted global ids
 
-  struct Plan {
-    int peer = -1;
-    std::vector<std::int32_t> idx;  // local indices (see send/recv semantics)
-  };
-  // send_plan[r]: for each peer, indices into owned[r] whose values the peer
-  // needs; ordered to match the peer's recv_plan entry for r.
-  std::vector<std::vector<Plan>> send_plan;
-  // recv_plan[r]: for each peer, indices into halo[r] filled by that peer.
-  // Both plan lists are sorted by peer, and each exchange sends exactly one
-  // message per send-plan entry. The runtime delivers an inbox sorted by
-  // source rank, so the k-th halo message on rank r fills recv_plan[r][k].
-  std::vector<std::vector<Plan>> recv_plan;
+  // The halo exchange. Rank r's send plan for a peer lists indices into
+  // owned[r] whose values the peer needs, in the order of the peer's
+  // receive plan for r, which lists local indices (#owned + position in
+  // halo[r]). Every exchange sends one message per send-plan entry, packed
+  // into the channel's own buffers (par::Channel).
+  par::Channel halo_channel;
 
   /// Derives the layout from a row->rank map and the sparsity pattern of the
   /// (square) matrix: rank r's halo is every column referenced by its rows
@@ -88,13 +87,13 @@ std::vector<double> gather_vector(const DistLayout& layout, const DistVector& v)
 
 /// Preconditioned CG across virtual ranks. `x` is the warm-start guess on
 /// input and the solution on output. All communication costs are charged
-/// under `phase` on `rt`.
+/// under `phase` on `rt`. Every exit leaves the mailboxes drained.
 SolveResult dist_cg(par::Runtime& rt, const std::string& phase,
                     const DistMatrix& a, const DistVector& b, DistVector& x,
                     const SolveOptions& opt = {});
 
-/// One halo exchange: ships owned values listed in send plans, fills halo
-/// slots. `local` holds per-rank vectors of local_size (owned then halo);
+/// One halo exchange through layout.halo_channel: posts the owned values
+/// listed in the send plans, then fills the halo slots. `local` holds per-rank vectors of local_size (owned then halo);
 /// the owned prefix must be filled on entry, the halo suffix is filled on
 /// return. Exposed for reuse by the PIC field gather.
 void halo_exchange(par::Runtime& rt, const std::string& phase,

@@ -44,19 +44,35 @@ std::vector<std::byte> Comm::acquire_payload(std::size_t nbytes) {
 
 void Comm::send_owned(int dst, int tag, std::vector<std::byte>&& payload,
                       CostClass cls) {
+  Message m;
+  m.tag = tag;
+  m.byte_scale = rt_->scale_of(cls);
+  m.payload = std::move(payload);
+  stage(dst, std::move(m));
+}
+
+void Comm::send_view(int dst, int tag, std::span<const std::byte> bytes,
+                     CostClass cls) {
+  Message m;
+  m.tag = tag;
+  m.byte_scale = rt_->scale_of(cls);
+  m.borrowed = bytes.data();
+  m.borrowed_size = bytes.size();
+  stage(dst, std::move(m));
+}
+
+void Comm::stage(int dst, Message&& m) {
   DSMCPIC_CHECK_MSG(rt_->in_superstep_, "send() outside a superstep");
   DSMCPIC_CHECK_MSG(dst >= 0 && dst < rt_->active_,
                     "bad destination rank " << dst << " (active set is [0, "
                                             << rt_->active_ << "))");
-  Message m;
   m.src = rank_;
   m.dst = dst;
-  m.tag = tag;
-  m.byte_scale = rt_->scale_of(cls);
-  m.payload = std::move(payload);
   // Sender-private buffer: safe under concurrent superstep bodies.
   rt_->staged_[rank_].push_back(std::move(m));
 }
+
+std::uint64_t Comm::superstep_index() const { return rt_->supersteps_; }
 
 const std::vector<Message>& Comm::inbox() const {
   return rt_->inbox_[rank_];
@@ -280,9 +296,10 @@ void Runtime::superstep(const std::string& phase,
   if (tracer_)
     trace_spans_since(trace_mid_, pid, trace::SpanKind::kComm, trace_seq_,
                       /*with_work=*/false);
-  // Consumed inboxes: recycle each payload back to its SENDER's pool (the
-  // rank that will size a like payload next step), in deterministic
-  // dst-major, src-major order, on the driver thread.
+  // Consumed inboxes: recycle each owned payload back to its SENDER's pool
+  // (the rank that will size a like payload next step), in deterministic
+  // dst-major, src-major order, on the driver thread. Borrowed messages own
+  // nothing, so the pool skips them.
   for (int r = 0; r < active_; ++r) {
     for (Message& m : inbox_[r]) pool_recycle(m.src, std::move(m.payload));
     inbox_[r].clear();
@@ -328,7 +345,7 @@ void Runtime::route_messages(int phase) {
   for (int src = 0; src < active_; ++src) {
     auto& buf = staged_[src];
     for (Message& m : buf) {
-      const double bytes = static_cast<double>(m.payload.size()) * m.byte_scale;
+      const double bytes = static_cast<double>(m.size()) * m.byte_scale;
       const double cost =
           topo_.alpha(m.src, m.dst) * congestion_mult + bytes * prof.beta;
       const double send_begin = clocks_[m.src];
@@ -345,7 +362,7 @@ void Runtime::route_messages(int phase) {
         rec.src = m.src;
         rec.dst = m.dst;
         rec.tag = m.tag;
-        rec.bytes = m.payload.size();
+        rec.bytes = m.size();
         rec.scaled_bytes = bytes;
         rec.send_begin = send_begin;
         rec.send_end = clocks_[m.src];

@@ -49,7 +49,16 @@ struct Message {
   int dst = -1;
   int tag = 0;
   double byte_scale = 1.0;  // cost-model multiplier for the payload bytes
+  /// Owned bytes (send, send_owned); empty for a borrowed message.
   std::vector<std::byte> payload;
+  /// Borrowed bytes (send_view): the sender keeps them alive and unchanged
+  /// until the receiving superstep ends. Null for an owned message.
+  const std::byte* borrowed = nullptr;
+  std::size_t borrowed_size = 0;
+
+  /// Payload bytes, whichever kind of message this is.
+  std::size_t size() const { return borrowed ? borrowed_size : payload.size(); }
+  const std::byte* data() const { return borrowed ? borrowed : payload.data(); }
 
   /// Reinterprets the payload as an array of trivially copyable T.
   template <typename T>
@@ -64,12 +73,11 @@ struct Message {
   template <typename T>
   std::span<const T> view() const {
     static_assert(std::is_trivially_copyable_v<T>);
-    DSMCPIC_CHECK_MSG(payload.size() % sizeof(T) == 0,
-                      "payload size " << payload.size()
+    DSMCPIC_CHECK_MSG(size() % sizeof(T) == 0,
+                      "payload size " << size()
                                       << " not a multiple of element size "
                                       << sizeof(T));
-    return {reinterpret_cast<const T*>(payload.data()),
-            payload.size() / sizeof(T)};
+    return {reinterpret_cast<const T*>(data()), size() / sizeof(T)};
   }
 };
 
@@ -94,6 +102,17 @@ class Comm {
   /// Move-sends an owned byte buffer (no copy; hot paths).
   void send_owned(int dst, int tag, std::vector<std::byte>&& payload,
                   CostClass cls = CostClass::kParticle);
+
+  /// Sends bytes the caller keeps alive and unchanged until the receiving
+  /// superstep ends (no copy, no pool). Costs, routing and trace records are
+  /// those of an owned send of the same bytes. par::Channel is the one
+  /// caller: its plan-owned buffers outlive every message they back.
+  void send_view(int dst, int tag, std::span<const std::byte> bytes,
+                 CostClass cls = CostClass::kParticle);
+
+  /// Index of the superstep in flight: Runtime::supersteps() before it
+  /// completes.
+  std::uint64_t superstep_index() const;
 
   /// Builds a byte buffer from trivially copyable elements and move-sends it.
   /// The buffer comes from this rank's payload pool (zero steady-state
@@ -139,6 +158,8 @@ class Comm {
  private:
   friend class Runtime;
   Comm(Runtime* rt, int rank) : rt_(rt), rank_(rank) {}
+  /// Checks `dst` and appends `m` to this rank's staging buffer.
+  void stage(int dst, Message&& m);
   Runtime* rt_;
   int rank_;
 };

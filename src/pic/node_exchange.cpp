@@ -36,9 +36,7 @@ NodeExchange::NodeExchange(const FineGrid& grid,
 
   // Build matching ghost/owner plans (iterate ghosts in ascending global id
   // so both sides agree on ordering).
-  ghost_plan_.resize(nranks);
-  owner_plan_.resize(nranks);
-  std::vector<std::map<int, Plan>> ghost_acc(nranks), owner_acc(nranks);
+  std::vector<std::map<int, par::HaloPlan>> ghost_acc(nranks), owner_acc(nranks);
   for (int r = 0; r < nranks; ++r) {
     for (std::size_t i = 0; i < rank_nodes_[r].size(); ++i) {
       const std::int32_t g = rank_nodes_[r][i];
@@ -54,10 +52,14 @@ NodeExchange::NodeExchange(const FineGrid& grid,
       op.idx.push_back(li);
     }
   }
+  // ghost_plan[r]: per owner-peer; owner_plan[o]: per ghost-peer.
+  par::HaloPlans ghost_plan(nranks), owner_plan(nranks);
   for (int r = 0; r < nranks; ++r) {
-    for (auto& [peer, plan] : ghost_acc[r]) ghost_plan_[r].push_back(std::move(plan));
-    for (auto& [peer, plan] : owner_acc[r]) owner_plan_[r].push_back(std::move(plan));
+    for (auto& [peer, plan] : ghost_acc[r]) ghost_plan[r].push_back(std::move(plan));
+    for (auto& [peer, plan] : owner_acc[r]) owner_plan[r].push_back(std::move(plan));
   }
+  reduce_ = par::Channel(ghost_plan, owner_plan);
+  broadcast_ = par::Channel(std::move(owner_plan), std::move(ghost_plan));
 }
 
 std::int32_t NodeExchange::local_index(int r, std::int32_t g) const {
@@ -86,61 +88,19 @@ double NodeExchange::sum_owned(
 
 void NodeExchange::reduce_to_owners(par::Runtime& rt, const std::string& phase,
                                     std::vector<std::vector<double>>& values) const {
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& plan : ghost_plan_[r]) {
-      auto buf = c.acquire_payload(plan.idx.size() * sizeof(double));
-      auto* d = reinterpret_cast<double*>(buf.data());
-      for (std::size_t i = 0; i < plan.idx.size(); ++i)
-        d[i] = values[r][plan.idx[i]];
-      c.charge(par::WorkKind::kPackByte, static_cast<double>(buf.size()));
-      c.send_owned(plan.peer, 0, std::move(buf), par::CostClass::kGrid);
-    }
-  });
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& msg : c.inbox()) {
-      const auto buf = msg.view<double>();
-      const auto it = std::find_if(
-          owner_plan_[r].begin(), owner_plan_[r].end(),
-          [&msg](const Plan& p) { return p.peer == msg.src; });
-      DSMCPIC_CHECK_MSG(it != owner_plan_[r].end(),
-                        "unexpected node-reduce message from " << msg.src);
-      DSMCPIC_CHECK(buf.size() == it->idx.size());
-      for (std::size_t i = 0; i < buf.size(); ++i)
-        values[r][it->idx[i]] += buf[i];
-      c.charge(par::WorkKind::kVecFlop, static_cast<double>(buf.size()));
-    }
-  });
+  rt.superstep(phase,
+               [&](par::Comm& c) { reduce_.post(c, values[c.rank()]); });
+  rt.superstep(phase,
+               [&](par::Comm& c) { reduce_.recv_add(c, values[c.rank()]); });
 }
 
 void NodeExchange::broadcast_from_owners(
     par::Runtime& rt, const std::string& phase,
     std::vector<std::vector<double>>& values) const {
+  rt.superstep(phase,
+               [&](par::Comm& c) { broadcast_.post(c, values[c.rank()]); });
   rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& plan : owner_plan_[r]) {
-      auto buf = c.acquire_payload(plan.idx.size() * sizeof(double));
-      auto* d = reinterpret_cast<double*>(buf.data());
-      for (std::size_t i = 0; i < plan.idx.size(); ++i)
-        d[i] = values[r][plan.idx[i]];
-      c.charge(par::WorkKind::kPackByte, static_cast<double>(buf.size()));
-      c.send_owned(plan.peer, 0, std::move(buf), par::CostClass::kGrid);
-    }
-  });
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& msg : c.inbox()) {
-      const auto buf = msg.view<double>();
-      const auto it = std::find_if(
-          ghost_plan_[r].begin(), ghost_plan_[r].end(),
-          [&msg](const Plan& p) { return p.peer == msg.src; });
-      DSMCPIC_CHECK_MSG(it != ghost_plan_[r].end(),
-                        "unexpected node-broadcast message from " << msg.src);
-      DSMCPIC_CHECK(buf.size() == it->idx.size());
-      for (std::size_t i = 0; i < buf.size(); ++i)
-        values[r][it->idx[i]] = buf[i];
-    }
+    broadcast_.recv_assign(c, values[c.rank()]);
   });
 }
 

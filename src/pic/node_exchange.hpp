@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "par/channel.hpp"
 #include "par/runtime.hpp"
 #include "pic/fine_grid.hpp"
 
@@ -59,18 +60,15 @@ class NodeExchange {
   double sum_owned(const std::vector<std::vector<double>>& values) const;
 
  private:
-  struct Plan {
-    int peer = -1;
-    std::vector<std::int32_t> idx;  // local indices on *this* rank
-  };
-
   int nranks_;
   std::vector<std::int32_t> node_owner_;
   std::vector<std::vector<std::int32_t>> rank_nodes_;
-  // ghost_plan_[r]: per owner-peer, r's local indices of ghosts owned by peer.
-  std::vector<std::vector<Plan>> ghost_plan_;
-  // owner_plan_[o]: per ghost-peer, o's local indices in matching order.
-  std::vector<std::vector<Plan>> owner_plan_;
+  // Ghost -> owner (reduce): rank r's send plan per owner-peer lists r's
+  // local indices of ghosts that peer owns; the owner's receive plan lists
+  // its own local indices in matching (ascending global id) order.
+  par::Channel reduce_;
+  // Owner -> ghost (broadcast): the same plans with the roles swapped.
+  par::Channel broadcast_;
 };
 
 }  // namespace dsmcpic::pic

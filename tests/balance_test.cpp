@@ -95,6 +95,103 @@ TEST(Hungarian, LargeInstanceRunsFast) {
   EXPECT_GE(r.total, identity);
 }
 
+/// The column-scan loop hungarian_min ran before its unused columns moved
+/// into a compact list: a 1..n scan over a used flag. Kept as the oracle
+/// for assignment, total and operation count, which the KM virtual charge
+/// reads.
+AssignmentResult flag_scan_hungarian_min(const std::vector<double>& cost,
+                                         int n) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> u(n + 1, 0.0), v(n + 1, 0.0);
+  std::vector<int> p(n + 1, 0), way(n + 1, 0);
+  std::int64_t ops = 0;
+  auto c = [&](int i, int j) {
+    return cost[static_cast<std::size_t>(i - 1) * n + (j - 1)];
+  };
+  for (int i = 1; i <= n; ++i) {
+    p[0] = i;
+    int j0 = 0;
+    std::vector<double> minv(n + 1, kInf);
+    std::vector<char> used(n + 1, 0);
+    do {
+      used[j0] = 1;
+      const int i0 = p[j0];
+      double delta = kInf;
+      int j1 = -1;
+      for (int j = 1; j <= n; ++j) {
+        if (used[j]) continue;
+        ++ops;
+        const double cur = c(i0, j) - u[i0] - v[j];
+        if (cur < minv[j]) {
+          minv[j] = cur;
+          way[j] = j0;
+        }
+        if (minv[j] < delta) {
+          delta = minv[j];
+          j1 = j;
+        }
+      }
+      for (int j = 0; j <= n; ++j) {
+        if (used[j]) {
+          u[p[j]] += delta;
+          v[j] -= delta;
+        } else {
+          minv[j] -= delta;
+        }
+      }
+      j0 = j1;
+    } while (p[j0] != 0);
+    do {
+      const int j1 = way[j0];
+      p[j0] = p[j1];
+      j0 = j1;
+    } while (j0 != 0);
+  }
+  AssignmentResult res;
+  res.row_to_col.assign(n, -1);
+  for (int j = 1; j <= n; ++j)
+    if (p[j] >= 1) res.row_to_col[p[j] - 1] = j - 1;
+  for (int i = 0; i < n; ++i)
+    res.total += cost[static_cast<std::size_t>(i) * n + res.row_to_col[i]];
+  res.operations = ops;
+  return res;
+}
+
+void expect_matches_flag_scan(const std::vector<double>& cost, int n,
+                              const char* what) {
+  const AssignmentResult want = flag_scan_hungarian_min(cost, n);
+  const AssignmentResult got = hungarian_min(cost, n);
+  EXPECT_EQ(got.row_to_col, want.row_to_col) << what << " n=" << n;
+  EXPECT_EQ(got.total, want.total) << what << " n=" << n;
+  EXPECT_EQ(got.operations, want.operations) << what << " n=" << n;
+}
+
+TEST(Hungarian, CompactColumnListMatchesFlagScanOracle) {
+  Rng rng(29);
+  for (const int n : {1, 2, 7, 33, 96, 160}) {
+    const auto nn = static_cast<std::size_t>(n) * n;
+    // Tie-heavy: three distinct costs, so most scans see equal minima.
+    std::vector<double> ties(nn);
+    for (auto& x : ties) x = std::floor(rng.uniform(0, 3));
+    expect_matches_flag_scan(ties, n, "ties");
+    // Sparse, shaped like the KM overlap matrix (negated for the min form):
+    // a few cells per row carry weight, the rest only the epsilon.
+    std::vector<double> sparse(nn, -1e-9);
+    for (int i = 0; i < n; ++i)
+      for (int k = 0; k < 3; ++k) {
+        const int j = static_cast<int>(rng.uniform(0, n)) % n;
+        sparse[static_cast<std::size_t>(i) * n + j] -=
+            std::floor(rng.uniform(1, 20));
+      }
+    expect_matches_flag_scan(sparse, n, "sparse");
+    const std::vector<double> zeros(nn, 0.0);
+    expect_matches_flag_scan(zeros, n, "all-zero");
+    std::vector<double> dense(nn);
+    for (auto& x : dense) x = rng.uniform(0, 1000);
+    expect_matches_flag_scan(dense, n, "dense");
+  }
+}
+
 TEST(Lii, FormulaMatchesEq6) {
   // total{4, 10}, migration{1, 2}, poisson{1, 2}:
   // lii = (10-2-2)/(4-1-1) = 3.

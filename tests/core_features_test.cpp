@@ -8,7 +8,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <memory>
 #include <string>
+#include <thread>
 
 #include "core/autotune.hpp"
 #include "core/datasets.hpp"
@@ -226,6 +228,36 @@ TEST(Checkpoint, RejectsInflatedLengthPrefix) {
     EXPECT_THROW(restored.restore_checkpoint(path), Error);
   }
   std::filesystem::remove(path);
+}
+
+// Checkpoints carry no uninitialised bytes: two identical runs write
+// byte-identical files. The second run steps on its own thread, whose stack
+// and heap arena differ from the first's, so stray bytes would differ too.
+// Both decision logs are non-empty: their records are among the bytes
+// compared.
+TEST(Checkpoint, IdenticalRunsWriteIdenticalBytes) {
+  ParallelConfig par = tiny_parallel(4);
+  par.balance.ensemble.kind = balance::EnsembleKind::kElastic;
+  par.balance.ensemble.ranks_min = 2;
+  CoupledSolver a(tiny_config(), par);
+  a.run(9);
+  std::unique_ptr<CoupledSolver> other;
+  std::thread([&] {
+    other = std::make_unique<CoupledSolver>(tiny_config(), par);
+    other->run(9);
+  }).join();
+  const CoupledSolver& b = *other;
+  ASSERT_FALSE(a.policy().decisions().empty());
+  ASSERT_FALSE(a.ensemble().decisions().empty());
+  const std::string pa = temp_path("dsmcpic_ckpt_same_a.bin");
+  const std::string pb = temp_path("dsmcpic_ckpt_same_b.bin");
+  a.save_checkpoint(pa);
+  b.save_checkpoint(pb);
+  const std::string bytes_a = slurp(pa);
+  ASSERT_FALSE(bytes_a.empty());
+  EXPECT_TRUE(bytes_a == slurp(pb)) << "identical runs wrote different bytes";
+  std::filesystem::remove(pa);
+  std::filesystem::remove(pb);
 }
 
 // Saves go through <path>.tmp + rename: when the tmp file cannot be

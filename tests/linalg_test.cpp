@@ -104,10 +104,13 @@ TEST(Dist, LayoutPlansAreConsistent) {
   std::size_t total_owned = 0;
   for (int r = 0; r < 3; ++r) total_owned += l.owned[r].size();
   EXPECT_EQ(total_owned, 20u);
-  // Send plans mirror recv plans.
+  // Send plans mirror recv plans; receive indices are local (owned first).
+  const par::HaloPlans& send_plan = l.halo_channel.send_plans();
+  const par::HaloPlans& recv_plan = l.halo_channel.recv_plans();
   for (int r = 0; r < 3; ++r) {
-    for (const auto& rp : l.recv_plan[r]) {
-      const auto& peer_sends = l.send_plan[rp.peer];
+    const auto nowned = static_cast<std::int32_t>(l.owned[r].size());
+    for (const auto& rp : recv_plan[r]) {
+      const auto& peer_sends = send_plan[rp.peer];
       bool found = false;
       for (const auto& sp : peer_sends) {
         if (sp.peer != r) continue;
@@ -115,7 +118,9 @@ TEST(Dist, LayoutPlansAreConsistent) {
         ASSERT_EQ(sp.idx.size(), rp.idx.size());
         // Same global ids in the same order on both sides.
         for (std::size_t i = 0; i < sp.idx.size(); ++i) {
-          EXPECT_EQ(l.owned[rp.peer][sp.idx[i]], l.halo[r][rp.idx[i]]);
+          ASSERT_GE(rp.idx[i], nowned);
+          EXPECT_EQ(l.owned[rp.peer][sp.idx[i]],
+                    l.halo[r][rp.idx[i] - nowned]);
         }
       }
       EXPECT_TRUE(found);
@@ -163,13 +168,58 @@ TEST(Dist, HaloExchangeRejectsMismatchedMessages) {
     for (int r = 0; r < 3; ++r) local[r].assign(l.local_size(r), 0.0);
     halo_exchange(rt, "halo", l, local);
   };
+  // A layout whose channel receives with edited plans.
+  auto with_recv = [&](auto edit) {
+    DistLayout l = good;
+    par::HaloPlans recv = good.halo_channel.recv_plans();
+    edit(recv);
+    l.halo_channel = par::Channel(good.halo_channel.send_plans(), recv);
+    return l;
+  };
   EXPECT_NO_THROW(exchange(good));
-  DistLayout wrong_peer = good;
-  wrong_peer.recv_plan[0][0].peer = 0;  // rank 0 never sends to itself
+  const DistLayout wrong_peer = with_recv([](par::HaloPlans& recv) {
+    recv[0][0].peer = 0;  // rank 0 never sends to itself
+  });
   EXPECT_THROW(exchange(wrong_peer), Error);
-  DistLayout wrong_size = good;
-  wrong_size.recv_plan[1][0].idx.pop_back();
+  const DistLayout wrong_size = with_recv(
+      [](par::HaloPlans& recv) { recv[1][0].idx.pop_back(); });
   EXPECT_THROW(exchange(wrong_size), Error);
+  const DistLayout extra_peer = with_recv([](par::HaloPlans& recv) {
+    recv[2].push_back({.peer = 2, .idx = {0}});  // a peer that never sends
+  });
+  EXPECT_THROW(exchange(extra_peer), Error);
+}
+
+/// Every exit of dist_cg leaves the mailboxes drained: at the iteration
+/// cap, and when the warm start already meets the tolerance.
+TEST(Dist, CgExitsLeaveNoMessageInFlight) {
+  const std::int32_t n = 30;
+  const CsrMatrix a = laplace_1d(n);
+  const auto owner = round_robin_owner(n, 3);
+  const DistMatrix dm = DistMatrix::build(a, DistLayout::build(3, owner, a));
+  std::vector<double> b(n);
+  Rng rng(5);
+  for (auto& v : b) v = rng.uniform(-1, 1);
+  const DistVector db = scatter_vector(dm.layout, b);
+  {
+    par::Runtime rt(3, par::Topology(par::MachineProfile::tianhe2(), 3));
+    DistVector dx(3);
+    const SolveResult r =
+        dist_cg(rt, "s", dm, db, dx, {.rel_tol = 1e-12, .max_iterations = 3});
+    EXPECT_FALSE(r.converged);
+    EXPECT_EQ(r.iterations, 3);
+    EXPECT_EQ(rt.undelivered_messages(), 0u);
+  }
+  {
+    // Warm-started from the exact solution of a zero right-hand side.
+    par::Runtime rt(3, par::Topology(par::MachineProfile::tianhe2(), 3));
+    const DistVector zero_b = scatter_vector(dm.layout, std::vector<double>(n));
+    DistVector dx = zero_b;
+    const SolveResult r = dist_cg(rt, "s", dm, zero_b, dx, {});
+    EXPECT_TRUE(r.converged);
+    EXPECT_EQ(r.iterations, 0);
+    EXPECT_EQ(rt.undelivered_messages(), 0u);
+  }
 }
 
 /// Distributed CG must match the serial solution for any rank count.
@@ -368,24 +418,30 @@ TEST(Dist, CgBitsPinnedOnUnstructured3dPoisson) {
       {Precon::kBlockSsor, 58, 0x1.54a1560288c57p-34, 0x8df01706b5705e41ULL,
        0x1.d1e9c225ffc6ap-10, 0x1.1f132c3ddcc14p-7, 1180, 0x1.6c24p+17},
   };
-  for (const Expected& e : expected) {
-    SCOPED_TRACE(static_cast<int>(e.precon));
-    par::Runtime rt(kRanks,
-                    par::Topology(par::MachineProfile::tianhe2(), kRanks));
-    SolveOptions opt{.rel_tol = 1e-10, .max_iterations = 400};
-    opt.dist_precon = e.precon;
-    const DistVector db = scatter_vector(dm.layout, b);
-    DistVector dx = scatter_vector(dm.layout, x0);
-    const SolveResult res = dist_cg(rt, "pin", dm, db, dx, opt);
-    const std::vector<double> x = gather_vector(dm.layout, dx);
-    const par::PhaseStats st = rt.phase_stats("pin");
-    EXPECT_EQ(res.iterations, e.iterations);
-    EXPECT_EQ(res.residual, e.residual);
-    EXPECT_EQ(fnv64(x), e.solution_fnv);
-    EXPECT_EQ(st.busy_max, e.busy_max);
-    EXPECT_EQ(st.busy_sum, e.busy_sum);
-    EXPECT_EQ(st.transactions, e.transactions);
-    EXPECT_EQ(st.bytes, e.bytes);
+  // threads 4 < 5 ranks: the bodies run concurrently on the pool, posting
+  // into and reading from the halo channel's buffers.
+  for (const int threads : {1, 4}) {
+    for (const Expected& e : expected) {
+      SCOPED_TRACE(static_cast<int>(e.precon));
+      SCOPED_TRACE(threads);
+      par::Runtime rt(kRanks,
+                      par::Topology(par::MachineProfile::tianhe2(), kRanks),
+                      1.0, 1.0, threads);
+      SolveOptions opt{.rel_tol = 1e-10, .max_iterations = 400};
+      opt.dist_precon = e.precon;
+      const DistVector db = scatter_vector(dm.layout, b);
+      DistVector dx = scatter_vector(dm.layout, x0);
+      const SolveResult res = dist_cg(rt, "pin", dm, db, dx, opt);
+      const std::vector<double> x = gather_vector(dm.layout, dx);
+      const par::PhaseStats st = rt.phase_stats("pin");
+      EXPECT_EQ(res.iterations, e.iterations);
+      EXPECT_EQ(res.residual, e.residual);
+      EXPECT_EQ(fnv64(x), e.solution_fnv);
+      EXPECT_EQ(st.busy_max, e.busy_max);
+      EXPECT_EQ(st.busy_sum, e.busy_sum);
+      EXPECT_EQ(st.transactions, e.transactions);
+      EXPECT_EQ(st.bytes, e.bytes);
+    }
   }
 }
 

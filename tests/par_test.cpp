@@ -6,8 +6,10 @@
 #include <thread>
 #include <vector>
 
+#include "par/channel.hpp"
 #include "par/machine.hpp"
 #include "par/runtime.hpp"
+#include "trace/recorder.hpp"
 
 namespace dsmcpic::par {
 namespace {
@@ -555,6 +557,185 @@ TEST(Runtime, SuperstepCounterCounts) {
   rt.superstep("a", [](Comm&) {});
   rt.superstep("b", [](Comm&) {});
   EXPECT_EQ(rt.supersteps(), 2u);
+}
+
+// ---- persistent channels ----------------------------------------------------
+
+/// Irregular plans over `n` ranks: some pairs silent, slice lengths 1..5,
+/// send indices repeating, receive indices overlapping across peers.
+std::pair<HaloPlans, HaloPlans> irregular_plans(int n) {
+  HaloPlans send(n), recv(n);
+  for (int r = 0; r < n; ++r)
+    for (int p = 0; p < n; ++p) {
+      if (p == r || (r + p) % 3 == 0) continue;
+      const int len = 1 + (r * 7 + p * 3) % 5;
+      HaloPlan s{p, {}}, q{r, {}};
+      for (int i = 0; i < len; ++i) {
+        s.idx.push_back((i * 5 + p) % 16);
+        q.idx.push_back(3 * (r % 4) + i);
+      }
+      send[r].push_back(std::move(s));
+      recv[p].push_back(std::move(q));  // r ascends: sorted by peer
+    }
+  return {std::move(send), std::move(recv)};
+}
+
+// A channel post is an owned send of the same bytes in every accounted
+// number: inbox order and contents, clocks, phase stats and trace message
+// records, with the rank bodies run in order (threads 1) and concurrently
+// (threads 4 < 6 ranks). Supersteps 1..3 receive and post on the same
+// channel, so concurrent bodies write one parity of the buffers while
+// others read the other.
+TEST(Channel, PostMatchesSendPodInEveryAccountedNumber) {
+  constexpr int kRanks = 6;
+  const auto [send, recv] = irregular_plans(kRanks);
+  const Channel channel(send, recv);
+
+  struct Run {
+    std::vector<double> clocks;
+    std::vector<std::vector<double>> acc, last;  // sums, final assignment
+    std::vector<std::vector<int>> inbox_src, inbox_tag;
+    std::vector<PhaseStats> stats;
+    std::vector<trace::MessageRec> messages;
+  };
+  auto run = [&](bool use_channel, int threads) {
+    Runtime rt(kRanks, Topology(MachineProfile::tianhe2(), kRanks), 1.0, 2.5,
+               threads);
+    trace::TraceRecorder rec(kRanks);
+    rt.set_tracer(&rec);
+    Run out;
+    out.acc.assign(kRanks, std::vector<double>(20, 0.0));
+    out.last.assign(kRanks, std::vector<double>(20, 0.0));
+    out.inbox_src.resize(kRanks);
+    out.inbox_tag.resize(kRanks);
+    std::vector<std::vector<double>> v(kRanks, std::vector<double>(16));
+    auto post = [&](Comm& c, int round) {
+      const int r = c.rank();
+      for (int i = 0; i < 16; ++i) v[r][i] = 1000.0 * round + 100 * r + i + 0.25;
+      if (use_channel) return channel.post(c, v[r]);
+      for (const HaloPlan& plan : send[r]) {
+        std::vector<double> vals;
+        for (const std::int32_t i : plan.idx) vals.push_back(v[r][i]);
+        c.charge(WorkKind::kPackByte,
+                 static_cast<double>(vals.size() * sizeof(double)));
+        c.send_pod<double>(plan.peer, 0, vals, CostClass::kGrid);
+      }
+    };
+    auto receive = [&](Comm& c, bool add) {
+      const int r = c.rank();
+      for (const Message& m : c.inbox()) {
+        out.inbox_src[r].push_back(m.src);
+        out.inbox_tag[r].push_back(m.tag);
+      }
+      if (use_channel) {
+        if (add) return channel.recv_add(c, out.acc[r]);
+        return channel.recv_assign(c, out.last[r]);
+      }
+      for (std::size_t k = 0; k < c.inbox().size(); ++k) {
+        const auto vals = c.inbox()[k].view<double>();
+        const auto& idx = recv[r][k].idx;
+        for (std::size_t i = 0; i < vals.size(); ++i) {
+          if (add) {
+            out.acc[r][idx[i]] += vals[i];
+          } else {
+            out.last[r][idx[i]] = vals[i];
+          }
+        }
+        if (add) c.charge(WorkKind::kVecFlop, static_cast<double>(vals.size()));
+      }
+    };
+    rt.superstep("post", [&](Comm& c) { post(c, 0); });
+    for (int round = 1; round <= 3; ++round)
+      rt.superstep("relay", [&](Comm& c) {
+        receive(c, /*add=*/true);
+        post(c, round);
+      });
+    rt.superstep("last", [&](Comm& c) { receive(c, /*add=*/false); });
+    EXPECT_EQ(rt.undelivered_messages(), 0u);
+    for (int r = 0; r < kRanks; ++r) out.clocks.push_back(rt.clock(r));
+    for (const auto& p : rt.phases()) out.stats.push_back(rt.phase_stats(p));
+    out.messages = rec.messages();
+    return out;
+  };
+
+  const Run want = run(/*use_channel=*/false, 1);
+  ASSERT_FALSE(want.messages.empty());
+  for (const auto& [use_channel, threads] :
+       {std::pair{false, 4}, std::pair{true, 1}, std::pair{true, 4}}) {
+    SCOPED_TRACE(std::string(use_channel ? "channel" : "send_pod") +
+                 " threads " + std::to_string(threads));
+    const Run got = run(use_channel, threads);
+    EXPECT_EQ(got.clocks, want.clocks);
+    EXPECT_EQ(got.acc, want.acc);
+    EXPECT_EQ(got.last, want.last);
+    EXPECT_EQ(got.inbox_src, want.inbox_src);
+    EXPECT_EQ(got.inbox_tag, want.inbox_tag);
+    ASSERT_EQ(got.stats.size(), want.stats.size());
+    for (std::size_t p = 0; p < want.stats.size(); ++p) {
+      EXPECT_EQ(got.stats[p].busy_max, want.stats[p].busy_max);
+      EXPECT_EQ(got.stats[p].busy_min, want.stats[p].busy_min);
+      EXPECT_EQ(got.stats[p].busy_sum, want.stats[p].busy_sum);
+      EXPECT_EQ(got.stats[p].transactions, want.stats[p].transactions);
+      EXPECT_EQ(got.stats[p].bytes, want.stats[p].bytes);
+    }
+    ASSERT_EQ(got.messages.size(), want.messages.size());
+    for (std::size_t i = 0; i < want.messages.size(); ++i) {
+      const trace::MessageRec& a = got.messages[i];
+      const trace::MessageRec& b = want.messages[i];
+      EXPECT_EQ(a.src, b.src);
+      EXPECT_EQ(a.dst, b.dst);
+      EXPECT_EQ(a.tag, b.tag);
+      EXPECT_EQ(a.bytes, b.bytes);
+      EXPECT_EQ(a.scaled_bytes, b.scaled_bytes);
+      EXPECT_EQ(a.send_begin, b.send_begin);
+      EXPECT_EQ(a.send_end, b.send_end);
+      EXPECT_EQ(a.recv_begin, b.recv_begin);
+      EXPECT_EQ(a.recv_end, b.recv_end);
+      EXPECT_EQ(a.phase, b.phase);
+      EXPECT_EQ(a.seq, b.seq);
+    }
+  }
+}
+
+// Channel posts never touch the payload pool.
+TEST(Channel, PostsBypassThePayloadPool) {
+  const auto [send, recv] = irregular_plans(4);
+  const Channel channel(send, recv);
+  Runtime rt = make_runtime(4);
+  std::vector<std::vector<double>> v(4, std::vector<double>(16, 1.0));
+  for (int s = 0; s < 3; ++s) {
+    rt.superstep("post", [&](Comm& c) { channel.post(c, v[c.rank()]); });
+    rt.superstep("recv",
+                 [&](Comm& c) { channel.recv_add(c, v[c.rank()]); });
+  }
+  const PoolStats st = rt.pool_stats();
+  EXPECT_EQ(st.acquires, 0u);
+  EXPECT_EQ(st.recycles, 0u);
+  EXPECT_GT(rt.phase_stats("post").transactions, 0u);
+}
+
+// The receive side refuses a message from an unplanned peer, a slice of
+// the wrong length, and a planned peer that sent nothing.
+TEST(Channel, ReceiveRejectsTrafficOffThePlan) {
+  const auto [send, recv] = irregular_plans(4);
+  auto exchange = [&](const HaloPlans& r) {
+    const Channel channel(send, r);
+    Runtime rt = make_runtime(4);
+    std::vector<std::vector<double>> v(4, std::vector<double>(20, 0.0));
+    rt.superstep("post", [&](Comm& c) { channel.post(c, v[c.rank()]); });
+    rt.superstep("recv",
+                 [&](Comm& c) { channel.recv_assign(c, v[c.rank()]); });
+  };
+  EXPECT_NO_THROW(exchange(recv));
+  HaloPlans wrong_peer = recv;
+  wrong_peer[1][0].peer = 1;
+  EXPECT_THROW(exchange(wrong_peer), Error);
+  HaloPlans wrong_size = recv;
+  wrong_size[2][0].idx.push_back(0);
+  EXPECT_THROW(exchange(wrong_size), Error);
+  HaloPlans missing = recv;
+  missing[3].push_back({.peer = 3, .idx = {0}});
+  EXPECT_THROW(exchange(missing), Error);
 }
 
 TEST(MachineProfiles, ThreePlatformsDiffer) {

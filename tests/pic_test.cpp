@@ -313,25 +313,30 @@ TEST(NodeExchange, ReduceThenBroadcastSumsShares) {
   for (std::int32_t c = 0; c < m.coarse.num_tets(); ++c)
     owner[c] = c % nranks;
   const NodeExchange nx(fg, owner, nranks);
-  par::Runtime rt(nranks,
-                  par::Topology(par::MachineProfile::tianhe2(), nranks));
+  // threads 3 < 4 ranks: the bodies post and receive on the pool.
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE(threads);
+    par::Runtime rt(nranks,
+                    par::Topology(par::MachineProfile::tianhe2(), nranks), 1.0,
+                    1.0, threads);
 
-  // Every rank contributes 1.0 to each of its nodes; after reduce+broadcast
-  // each node's value must equal the number of ranks touching it.
-  auto values = nx.make_values();
-  for (int r = 0; r < nranks; ++r)
-    std::fill(values[r].begin(), values[r].end(), 1.0);
-  nx.reduce_to_owners(rt, "reduce", values);
-  nx.broadcast_from_owners(rt, "bcast", values);
+    // Every rank contributes 1.0 to each of its nodes; after reduce+broadcast
+    // each node's value must equal the number of ranks touching it.
+    auto values = nx.make_values();
+    for (int r = 0; r < nranks; ++r)
+      std::fill(values[r].begin(), values[r].end(), 1.0);
+    nx.reduce_to_owners(rt, "reduce", values);
+    nx.broadcast_from_owners(rt, "bcast", values);
 
-  std::vector<int> touching(m.refined.mesh.num_nodes(), 0);
-  for (int r = 0; r < nranks; ++r)
-    for (const std::int32_t n : nx.rank_nodes(r)) ++touching[n];
-  for (int r = 0; r < nranks; ++r) {
-    const auto& nodes = nx.rank_nodes(r);
-    for (std::size_t i = 0; i < nodes.size(); ++i)
-      EXPECT_DOUBLE_EQ(values[r][i], static_cast<double>(touching[nodes[i]]))
-          << "rank " << r << " node " << nodes[i];
+    std::vector<int> touching(m.refined.mesh.num_nodes(), 0);
+    for (int r = 0; r < nranks; ++r)
+      for (const std::int32_t n : nx.rank_nodes(r)) ++touching[n];
+    for (int r = 0; r < nranks; ++r) {
+      const auto& nodes = nx.rank_nodes(r);
+      for (std::size_t i = 0; i < nodes.size(); ++i)
+        EXPECT_DOUBLE_EQ(values[r][i], static_cast<double>(touching[nodes[i]]))
+            << "rank " << r << " node " << nodes[i];
+    }
   }
 }
 
