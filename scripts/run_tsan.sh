@@ -18,7 +18,7 @@ BUILD="${1:-build-tsan}"
 cmake -B "$BUILD" -S . -G Ninja \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDSMCPIC_SANITIZE=thread
-cmake --build "$BUILD" --target par_test support_test linalg_test determinism_test trace_test obs_test pic_test balance_policy_test ensemble_test fleet_test telemetry_test -j
+cmake --build "$BUILD" --target par_test support_test exchange_test linalg_test determinism_test trace_test obs_test pic_test balance_policy_test ensemble_test fleet_test telemetry_test -j
 
 # halt_on_error so a race fails the script, not just prints a report.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -30,14 +30,18 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # lanes. The solver-level suites stay below the cutoff, so this unit test
 # is the only TSan coverage of the deposit's phase-A/phase-B threading.
 "$BUILD"/tests/pic_test --gtest_filter='Deposit.*'
-# Persistent halo channels (DESIGN.md §2i): rank bodies pack into their own
-# channel buffer and read other ranks' borrowed views, double-buffered by
-# superstep parity. The distributed CG (the pinned-bits test at threads 4
-# on 5 ranks, the rank-count sweep) and the node reduce/broadcast run their
-# bodies on the pool here; par_test's Channel.* above relays on one channel
-# in consecutive supersteps, so a missing parity flip would be flagged.
+# The message arena (DESIGN.md §2i): rank bodies write messages into their
+# own arena, picked by superstep parity, while they read other ranks'
+# arenas of the other parity. par_test above relays in consecutive
+# supersteps (Runtime.Relay*, Channel.*), so a missing parity flip would be
+# flagged there. The persistent halo channels pack straight into the
+# arena: the distributed CG (the pinned-bits test at threads 4 on 5 ranks,
+# the rank-count sweep) and the node reduce/broadcast run their bodies on
+# the pool here. Particle migration sends through the same arenas: every
+# exchange strategy runs at threads 4 on 10 ranks (rank dispatch).
 "$BUILD"/tests/linalg_test --gtest_filter='Dist.*:RankCounts/*'
 "$BUILD"/tests/pic_test --gtest_filter='NodeExchange.*'
+"$BUILD"/tests/exchange_test
 # Kernel-level dispatch first (ranks <= threads: real threads inside
 # move/collide/react/deposit; BothDispatchLevelsMatchSerial also runs the
 # rank level), then the sorted-traversal suite (periodic cell sort under
@@ -67,12 +71,11 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD"/tests/balance_policy_test
 # Elastic rank ensembles (DESIGN.md §2i): resizing the active prefix
 # mid-run reroutes ownership through exchange + redecompose while the
-# pool is live; migration payloads are acquired from each rank's payload
-# free list inside rank bodies and recycled to the sender's list on the
-# driver thread. The thread-count bit-identity test shrinks 12 active ranks to at
-# most 4 on 4 and 8 lanes, so one solver switches from rank to kernel
-# dispatch mid-run; a racy pool or active-set handoff would be flagged
-# here.
+# pool is live; migration payloads are written into each sending rank's
+# message arena inside rank bodies and read in place by their receivers.
+# The thread-count bit-identity test shrinks 12 active ranks to at most 4
+# on 4 and 8 lanes, so one solver switches from rank to kernel dispatch
+# mid-run; a racy arena or active-set handoff would be flagged here.
 "$BUILD"/tests/ensemble_test
 # The fleet service (DESIGN.md §2j) runs whole solvers concurrently on the
 # slot pool while they read the same immutable CaseGeometry through

@@ -121,10 +121,14 @@ void CoupledSolver::restore_checkpoint(const std::string& path) {
   collide_->load(is);
   sampler_.load(is);
 
-  prev_busy_.total = io::read_vec<double>(is);
-  prev_busy_.pm = io::read_vec<double>(is);
-  prev_busy_.poi = io::read_vec<double>(is);
-  prev_busy_.particle = io::read_vec<double>(is);
+  for (std::vector<double>* busy : {&prev_busy_.total, &prev_busy_.pm,
+                                    &prev_busy_.poi, &prev_busy_.particle}) {
+    *busy = io::read_vec<double>(is);
+    DSMCPIC_CHECK_MSG(static_cast<int>(busy->size()) == pcfg_.nranks,
+                      "checkpoint busy window has " << busy->size()
+                                                    << " ranks, not "
+                                                    << pcfg_.nranks);
+  }
   prev_predicted_ = io::read_vec<double>(is);
   lb_stats_ = io::read_pod<balance::RebalanceStats>(is);
   cost_model_.load(is);
@@ -134,6 +138,11 @@ void CoupledSolver::restore_checkpoint(const std::string& path) {
                     "checkpoint active rank count " << active
                                                     << " out of range");
   active_ = active;
+  for (const std::int32_t o : owner_)
+    DSMCPIC_CHECK_MSG(o >= 0 && o < active_,
+                      "checkpoint assigns a cell to rank "
+                          << o << " outside the active set [0, " << active_
+                          << ")");
   ensemble_.load(is);
 
   rt_->load(is);

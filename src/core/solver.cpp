@@ -777,10 +777,7 @@ void CoupledSolver::record_telemetry() {
   if (!telemetry_) return;
   for (const std::string& name : rt_->phases())
     rec_.phases.push_back(phase_record(name, rt_->phase_stats(name)));
-  const par::PoolStats pool = rt_->pool_stats();
-  rec_.pool_acquires = pool.acquires;
-  rec_.pool_misses = pool.misses;
-  rec_.pool_recycles = pool.recycles;
+  rec_.message_arena_bytes = rt_->arena_bytes();
 
   double scale_min = 0.0, scale_max = 0.0, scale_sum = 0.0;
   for (int r = 0; r < active_; ++r) {

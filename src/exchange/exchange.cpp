@@ -60,25 +60,58 @@ void append_records(ParticleStore& store, std::span<const ParticleRecord> recs) 
   for (const auto& r : recs) store.add(r);
 }
 
+/// Charges the pack of `recs` and sends them to `dest`.
+void ship(par::Comm& c, int dest, std::span<const ParticleRecord> recs) {
+  c.charge(par::WorkKind::kPackByte,
+           static_cast<double>(recs.size() * sizeof(ParticleRecord)));
+  c.send_pod<ParticleRecord>(dest, 0, recs);
+}
+
+/// Per-rank migration and drop counts: bodies may run on worker threads, so
+/// each rank writes only its own slots and deliver() reduces them.
+struct Tally {
+  explicit Tally(int nranks) : migrated(nranks, 0), dropped(nranks, 0) {}
+  std::vector<std::int64_t> migrated, dropped;
+};
+
+/// The last superstep of every strategy: each rank appends the records
+/// delivered to it and resets its removed flags. Then the calling thread
+/// reduces the tally; `kept` is what stayed on its rank.
+ExchangeStats deliver(par::Runtime& rt, const std::string& phase,
+                      std::vector<ParticleStore>& stores,
+                      std::vector<std::vector<std::uint8_t>>& removed,
+                      const Tally& tally) {
+  rt.superstep(phase, [&](par::Comm& c) {
+    const int r = c.rank();
+    for (const auto& msg : c.inbox())
+      append_records(stores[r], msg.view<ParticleRecord>());
+    removed[r].assign(stores[r].size(), 0);
+  });
+  ExchangeStats stats;
+  for (const std::int64_t m : tally.migrated) stats.migrated += m;
+  for (const std::int64_t d : tally.dropped) stats.dropped += d;
+  for (int r = 0; r < rt.active_ranks(); ++r)
+    stats.kept += static_cast<std::int64_t>(stores[r].size());
+  stats.kept -= stats.migrated;
+  return stats;
+}
+
 ExchangeStats exchange_centralized(par::Runtime& rt, const std::string& phase,
                                    std::vector<ParticleStore>& stores,
                                    std::vector<std::vector<std::uint8_t>>& removed,
                                    std::span<const std::int32_t> cell_owner,
                                    int root) {
-  const int nranks = rt.active_ranks();
-  ExchangeStats stats;
+  Tally tally(rt.active_ranks());
   // Root-side staging for classify: records pooled from everyone.
   std::vector<ParticleRecord> root_pool;
-  // Per-rank drop counts: bodies may run on worker threads, so each rank
-  // writes only its own slot and the driver reduces afterwards.
-  std::vector<std::int64_t> dropped(nranks, 0);
 
   // Stage 1 — gather: every rank ships ALL its outgoing to the root in one
   // message (root's own outgoing goes straight to the pool).
   rt.superstep(phase, [&](par::Comm& c) {
     const int r = c.rank();
     std::map<int, std::vector<ParticleRecord>> outgoing;
-    dropped[r] = extract_outgoing(stores[r], removed[r], cell_owner, r, outgoing);
+    tally.dropped[r] =
+        extract_outgoing(stores[r], removed[r], cell_owner, r, outgoing);
     std::vector<ParticleRecord> all;
     for (auto& [dest, recs] : outgoing)
       all.insert(all.end(), recs.begin(), recs.end());
@@ -87,9 +120,7 @@ ExchangeStats exchange_centralized(par::Runtime& rt, const std::string& phase,
     if (r == root) {
       root_pool.insert(root_pool.end(), all.begin(), all.end());
     } else if (!all.empty()) {
-      c.charge(par::WorkKind::kPackByte,
-               static_cast<double>(all.size() * sizeof(ParticleRecord)));
-      c.send_pod<ParticleRecord>(root, 0, all);
+      ship(c, root, all);
     }
   });
 
@@ -109,32 +140,19 @@ ExchangeStats exchange_centralized(par::Runtime& rt, const std::string& phase,
     std::map<int, std::vector<ParticleRecord>> by_dest;
     for (const auto& rec : root_pool)
       by_dest[cell_owner[rec.cell]].push_back(rec);
-    stats.migrated = static_cast<std::int64_t>(root_pool.size());
+    tally.migrated[root] = static_cast<std::int64_t>(root_pool.size());
     root_pool.clear();
     for (auto& [dest, recs] : by_dest) {
       if (dest == root) {
         append_records(stores[root], recs);
         continue;
       }
-      c.charge(par::WorkKind::kPackByte,
-               static_cast<double>(recs.size() * sizeof(ParticleRecord)));
-      c.send_pod<ParticleRecord>(dest, 0, recs);
+      ship(c, dest, recs);
     }
   });
 
   // Stage 3 — deliver.
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& msg : c.inbox())
-      append_records(stores[r], msg.view<ParticleRecord>());
-    removed[r].assign(stores[r].size(), 0);
-  });
-
-  for (int r = 0; r < nranks; ++r)
-    stats.kept += static_cast<std::int64_t>(stores[r].size());
-  stats.kept -= stats.migrated;
-  for (const std::int64_t d : dropped) stats.dropped += d;
-  return stats;
+  return deliver(rt, phase, stores, removed, tally);
 }
 
 ExchangeStats exchange_distributed(par::Runtime& rt, const std::string& phase,
@@ -142,11 +160,7 @@ ExchangeStats exchange_distributed(par::Runtime& rt, const std::string& phase,
                                    std::vector<std::vector<std::uint8_t>>& removed,
                                    std::span<const std::int32_t> cell_owner) {
   const int nranks = rt.active_ranks();
-  ExchangeStats stats;
-  // Per-rank migration/drop counts: bodies may run on worker threads, so
-  // each rank writes only its own slot and the driver reduces afterwards.
-  std::vector<std::int64_t> migrated(nranks, 0);
-  std::vector<std::int64_t> dropped(nranks, 0);
+  Tally tally(nranks);
 
   // The paper's implementation performs a synchronized two-round send/recv
   // across ALL ordered pairs (Sec. IV-B2), i.e. N(N-1) transactions even
@@ -159,7 +173,8 @@ ExchangeStats exchange_distributed(par::Runtime& rt, const std::string& phase,
   rt.superstep(phase, [&](par::Comm& c) {
     const int r = c.rank();
     std::map<int, std::vector<ParticleRecord>> outgoing;
-    dropped[r] = extract_outgoing(stores[r], removed[r], cell_owner, r, outgoing);
+    tally.dropped[r] =
+        extract_outgoing(stores[r], removed[r], cell_owner, r, outgoing);
     c.charge(par::WorkKind::kScan, static_cast<double>(stores[r].size()));
     for (int peer = 0; peer < nranks; ++peer) {
       if (peer == r) continue;
@@ -169,27 +184,13 @@ ExchangeStats exchange_distributed(par::Runtime& rt, const std::string& phase,
         c.charge_comm_seconds(2.0 * c.alpha_to(peer));
         continue;
       }
-      migrated[r] += static_cast<std::int64_t>(it->second.size());
+      tally.migrated[r] += static_cast<std::int64_t>(it->second.size());
       c.charge(par::WorkKind::kClassify, static_cast<double>(it->second.size()));
-      c.charge(par::WorkKind::kPackByte,
-               static_cast<double>(it->second.size() * sizeof(ParticleRecord)));
-      c.send_pod<ParticleRecord>(peer, 0, it->second);
+      ship(c, peer, it->second);
     }
   });
 
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& msg : c.inbox())
-      append_records(stores[r], msg.view<ParticleRecord>());
-    removed[r].assign(stores[r].size(), 0);
-  });
-
-  for (const std::int64_t m : migrated) stats.migrated += m;
-  for (const std::int64_t d : dropped) stats.dropped += d;
-  for (int r = 0; r < nranks; ++r)
-    stats.kept += static_cast<std::int64_t>(stores[r].size());
-  stats.kept -= stats.migrated;
-  return stats;
+  return deliver(rt, phase, stores, removed, tally);
 }
 
 /// Hierarchical exchange: intra-node funnel to the node leader, all-to-all
@@ -203,9 +204,7 @@ ExchangeStats exchange_hierarchical(par::Runtime& rt, const std::string& phase,
   const int nodes = rt.active_nodes();
   auto leader_of = [ppn](int rank) { return (rank / ppn) * ppn; };
 
-  ExchangeStats stats;
-  std::vector<std::int64_t> migrated(nranks, 0);  // per rank; reduced below
-  std::vector<std::int64_t> dropped(nranks, 0);
+  Tally tally(nranks);
 
   // Stage 1 — funnel: every rank classifies and ships its whole outgoing
   // set to its node leader (leaders keep theirs locally).
@@ -213,20 +212,19 @@ ExchangeStats exchange_hierarchical(par::Runtime& rt, const std::string& phase,
   rt.superstep(phase, [&](par::Comm& c) {
     const int r = c.rank();
     std::map<int, std::vector<ParticleRecord>> outgoing;
-    dropped[r] = extract_outgoing(stores[r], removed[r], cell_owner, r, outgoing);
+    tally.dropped[r] =
+        extract_outgoing(stores[r], removed[r], cell_owner, r, outgoing);
     c.charge(par::WorkKind::kScan, static_cast<double>(stores[r].size()));
     std::vector<ParticleRecord> all;
     for (auto& [dest, recs] : outgoing) {
-      migrated[r] += static_cast<std::int64_t>(recs.size());
+      tally.migrated[r] += static_cast<std::int64_t>(recs.size());
       all.insert(all.end(), recs.begin(), recs.end());
     }
     const int leader = leader_of(r);
     if (r == leader) {
       leader_pool[r].insert(leader_pool[r].end(), all.begin(), all.end());
     } else if (!all.empty()) {
-      c.charge(par::WorkKind::kPackByte,
-               static_cast<double>(all.size() * sizeof(ParticleRecord)));
-      c.send_pod_vec(leader, 0, all);
+      ship(c, leader, all);
     }
   });
 
@@ -255,9 +253,7 @@ ExchangeStats exchange_hierarchical(par::Runtime& rt, const std::string& phase,
         c.charge_comm_seconds(2.0 * c.alpha_to(peer));
         continue;
       }
-      c.charge(par::WorkKind::kPackByte,
-               static_cast<double>(it->second.size() * sizeof(ParticleRecord)));
-      c.send_pod_vec(peer, 0, it->second);
+      ship(c, peer, it->second);
     }
     if (auto it = by_leader.find(r); it != by_leader.end())
       leader_pool[r] = std::move(it->second);
@@ -282,26 +278,12 @@ ExchangeStats exchange_hierarchical(par::Runtime& rt, const std::string& phase,
         append_records(stores[r], recs);
         continue;
       }
-      c.charge(par::WorkKind::kPackByte,
-               static_cast<double>(recs.size() * sizeof(ParticleRecord)));
-      c.send_pod_vec(dest, 0, recs);
+      ship(c, dest, recs);
     }
   });
 
   // Stage 4 — deliver.
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& msg : c.inbox())
-      append_records(stores[r], msg.view<ParticleRecord>());
-    removed[r].assign(stores[r].size(), 0);
-  });
-
-  for (const std::int64_t m : migrated) stats.migrated += m;
-  for (const std::int64_t d : dropped) stats.dropped += d;
-  for (int r = 0; r < nranks; ++r)
-    stats.kept += static_cast<std::int64_t>(stores[r].size());
-  stats.kept -= stats.migrated;
-  return stats;
+  return deliver(rt, phase, stores, removed, tally);
 }
 
 /// Neighbor exchange: DC's two-round semantics, but each rank's handshake
@@ -321,15 +303,14 @@ ExchangeStats exchange_neighbor(par::Runtime& rt, const std::string& phase,
   DSMCPIC_CHECK_MSG(static_cast<int>(neighbors.size()) >= nranks,
                     "neighbor lists cover " << neighbors.size()
                                             << " ranks, need " << nranks);
-  ExchangeStats stats;
-  std::vector<std::int64_t> migrated(nranks, 0);
-  std::vector<std::int64_t> dropped(nranks, 0);
+  Tally tally(nranks);
 
   rt.hint_round_transactions_all_pairs();
   rt.superstep(phase, [&](par::Comm& c) {
     const int r = c.rank();
     std::map<int, std::vector<ParticleRecord>> outgoing;
-    dropped[r] = extract_outgoing(stores[r], removed[r], cell_owner, r, outgoing);
+    tally.dropped[r] =
+        extract_outgoing(stores[r], removed[r], cell_owner, r, outgoing);
     c.charge(par::WorkKind::kScan, static_cast<double>(stores[r].size()));
     // Handshake with adjacency neighbors that got no payload this round
     // (the synchronized pattern still probes them); non-neighbors are never
@@ -342,27 +323,13 @@ ExchangeStats exchange_neighbor(par::Runtime& rt, const std::string& phase,
     }
     for (auto& [dest, recs] : outgoing) {
       if (recs.empty()) continue;
-      migrated[r] += static_cast<std::int64_t>(recs.size());
+      tally.migrated[r] += static_cast<std::int64_t>(recs.size());
       c.charge(par::WorkKind::kClassify, static_cast<double>(recs.size()));
-      c.charge(par::WorkKind::kPackByte,
-               static_cast<double>(recs.size() * sizeof(ParticleRecord)));
-      c.send_pod_vec(dest, 0, recs);
+      ship(c, dest, recs);
     }
   });
 
-  rt.superstep(phase, [&](par::Comm& c) {
-    const int r = c.rank();
-    for (const auto& msg : c.inbox())
-      append_records(stores[r], msg.view<ParticleRecord>());
-    removed[r].assign(stores[r].size(), 0);
-  });
-
-  for (const std::int64_t m : migrated) stats.migrated += m;
-  for (const std::int64_t d : dropped) stats.dropped += d;
-  for (int r = 0; r < nranks; ++r)
-    stats.kept += static_cast<std::int64_t>(stores[r].size());
-  stats.kept -= stats.migrated;
-  return stats;
+  return deliver(rt, phase, stores, removed, tally);
 }
 
 }  // namespace

@@ -8,9 +8,9 @@
 // communication-to-computation ratio that makes Poisson_Solve the paper's
 // scalability bottleneck (Table IV) emerges from exactly these messages.
 // The halo's shape is fixed when the layout is built, so it travels through
-// one persistent par::Channel: each exchange packs into the channel's own
-// buffers and sends borrowed views, with no payload pool, allocation or
-// second copy per message, and the costs of owned sends of the same bytes.
+// one persistent par::Channel: each exchange packs straight into messages in
+// the runtime's message arenas, with no steady-state allocation or second
+// copy per message, and the costs of any send of the same bytes.
 
 #include <cstdint>
 #include <span>
@@ -36,7 +36,7 @@ struct DistLayout {
   // owned[r] whose values the peer needs, in the order of the peer's
   // receive plan for r, which lists local indices (#owned + position in
   // halo[r]). Every exchange sends one message per send-plan entry, packed
-  // into the channel's own buffers (par::Channel).
+  // in place in the sender's message arena (par::Channel).
   par::Channel halo_channel;
 
   /// Derives the layout from a row->rank map and the sparsity pattern of the

@@ -39,8 +39,10 @@ struct DecisionRecord {
 /// Everything the solver knows about one DSMC step. Filled in two stages:
 /// the first before the health auditor closes the step (so an aborted step
 /// still reaches the trace), the second after it (so the telemetry carries
-/// the step's audit tallies). Every field except pool_* derives from
-/// deterministic virtual state and is bit-identical across exec backends.
+/// the step's audit tallies). Every field except message_arena_bytes
+/// derives from deterministic virtual state and is bit-identical across
+/// exec backends; the arena size is host state (a restored run starts with
+/// empty arenas).
 struct StepRecord {
   // ---- stage 1: every step ------------------------------------------------
   int dsmc_step = 0;
@@ -70,9 +72,7 @@ struct StepRecord {
 
   // ---- stage 2: only while a TelemetryHub is attached ----------------------
   std::vector<PhaseRecord> phases;  // cumulative, runtime phase order
-  std::uint64_t pool_acquires = 0;  // PayloadPool counters (cumulative)
-  std::uint64_t pool_misses = 0;
-  std::uint64_t pool_recycles = 0;
+  std::uint64_t message_arena_bytes = 0;  // par::Runtime::arena_bytes()
   /// Cost-model per-rank correction factors over the active set (1.0
   /// everywhere on the static model).
   double cost_scale_min = 1.0;

@@ -125,9 +125,8 @@ void TelemetryHub::on_step(const StepRecord& s) {
   push_series("exchange_bytes", step, s.exchange_bytes);
   push_series("exchange_messages", step,
               static_cast<double>(s.exchange_messages));
-  push_series("pool_acquires", step, static_cast<double>(s.pool_acquires));
-  push_series("pool_misses", step, static_cast<double>(s.pool_misses));
-  push_series("pool_recycles", step, static_cast<double>(s.pool_recycles));
+  push_series("message_arena_bytes", step,
+              static_cast<double>(s.message_arena_bytes));
   push_series("cost_scale_min", step, s.cost_scale_min);
   push_series("cost_scale_max", step, s.cost_scale_max);
   push_series("cost_scale_mean", step, s.cost_scale_mean);
@@ -261,19 +260,9 @@ void TelemetryHub::write_prometheus(std::ostream& os) const {
     f.sample(static_cast<double>(totals_.exchange_messages));
   }
   {
-    PromFamily f(os, run, "dsmcpic_pool_acquires_total", "counter",
-                 "payload-pool buffers handed out");
-    f.sample(last ? static_cast<double>(last->pool_acquires) : 0.0);
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_pool_misses_total", "counter",
-                 "payload-pool acquires that allocated fresh memory");
-    f.sample(last ? static_cast<double>(last->pool_misses) : 0.0);
-  }
-  {
-    PromFamily f(os, run, "dsmcpic_pool_recycles_total", "counter",
-                 "delivered payloads returned to a pool");
-    f.sample(last ? static_cast<double>(last->pool_recycles) : 0.0);
+    PromFamily f(os, run, "dsmcpic_message_arena_bytes", "gauge",
+                 "bytes held by the runtime's message arenas");
+    f.sample(last ? static_cast<double>(last->message_arena_bytes) : 0.0);
   }
   {
     PromFamily f(os, run, "dsmcpic_audit_checks_total", "counter",
@@ -388,7 +377,7 @@ void TelemetryHub::write_json_snapshot(std::ostream& os) const {
 void TelemetryHub::write_postmortem(std::ostream& os,
                                     const std::string& reason) const {
   // Only the deterministic slice of each record: no host wall-clock, no
-  // payload-pool internals — the bytes must be identical across execution
+  // message-arena sizes — the bytes must be identical across execution
   // backends (tests/telemetry_test.cpp).
   trace::JsonWriter w(os);
   w.begin_object();

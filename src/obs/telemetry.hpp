@@ -9,7 +9,7 @@
 //     step the solver hands the hub its StepRecord (obs/step_record.hpp:
 //     per-phase virtual time, particle ledger, imbalance, rebalance
 //     decisions + cost-model corrections, exchange bytes/messages,
-//     payload-pool stats, audit tallies) and the hub fans the scalars into
+//     message-arena size, audit tallies) and the hub fans the scalars into
 //     named series. When a series fills it downsamples 2:1 — keep every
 //     other sample, double the step stride — driven purely by the step
 //     index, so the retained sample set is a pure function of (capacity,
@@ -19,7 +19,7 @@
 //     abort, a fault-injection trip, or a solver park it dumps
 //     postmortem.json: the deterministic slice of those records (virtual
 //     time, ledger, phases, decisions, audit tallies — no wall-clock, no
-//     pool internals), so the bytes are identical across --threads /
+//     arena sizes), so the bytes are identical across --threads /
 //     --sort-every.
 //
 //   * Exposition — Prometheus text format (metrics.prom) + JSON snapshot

@@ -9,35 +9,16 @@ Channel::Channel(HaloPlans send, HaloPlans recv)
   DSMCPIC_CHECK_MSG(send_.size() == recv_.size(),
                     "channel has " << send_.size() << " send and "
                                    << recv_.size() << " receive rank plans");
-  const std::size_t nranks = send_.size();
-  offset_.resize(nranks);
-  buf_.resize(nranks);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    auto& off = offset_[r];
-    off.reserve(send_[r].size() + 1);
-    std::size_t n = 0;
-    for (const HaloPlan& plan : send_[r]) {
-      off.push_back(n);
-      n += plan.idx.size();
-    }
-    off.push_back(n);
-    buf_[r].assign(2 * n, 0.0);
-  }
 }
 
 void Channel::post(Comm& c, std::span<const double> v) const {
   const auto r = static_cast<std::size_t>(c.rank());
   DSMCPIC_CHECK_MSG(r < send_.size(), "rank " << r << " outside the channel");
-  const auto& plans = send_[r];
-  const auto& off = offset_[r];
-  double* copy = buf_[r].data() + (c.superstep_index() % 2) * off.back();
-  for (std::size_t k = 0; k < plans.size(); ++k) {
-    const auto& idx = plans[k].idx;
-    double* d = copy + off[k];
-    for (std::size_t i = 0; i < idx.size(); ++i) d[i] = v[idx[i]];
-    const auto bytes = std::as_bytes(std::span<const double>(d, idx.size()));
-    c.charge(WorkKind::kPackByte, static_cast<double>(bytes.size()));
-    c.send_view(plans[k].peer, /*tag=*/0, bytes, CostClass::kGrid);
+  for (const HaloPlan& plan : send_[r]) {
+    const std::span<double> d =
+        c.stage<double>(plan.peer, /*tag=*/0, plan.idx.size(), CostClass::kGrid);
+    for (std::size_t i = 0; i < d.size(); ++i) d[i] = v[plan.idx[i]];
+    c.charge(WorkKind::kPackByte, static_cast<double>(d.size_bytes()));
   }
 }
 

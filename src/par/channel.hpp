@@ -4,21 +4,15 @@
 //
 // The distributed CG's halo of p and the PIC node reduce and broadcast send
 // the same (src, dst, size) messages every time they run: the shape is
-// fixed when the plan is built. A Channel is built once from those plans.
-// It owns one contiguous send buffer per rank with a fixed slice per peer;
-// post() packs each peer's values into its slice and stages the slice with
-// Comm::send_view, a message that borrows its bytes. The hot path therefore
-// takes nothing from the payload pool, allocates nothing and copies each
-// value once (the pack). Costs are those of owned sends of the same bytes:
-// the same pack charge, and routing, NIC serialization, phase bytes and
-// trace records per message in (src, send order).
-//
-// Each rank's buffer holds two copies, picked by the parity of the superstep
-// counter. Messages posted in superstep S are read by their receivers in
-// S+1; a post on the same channel in S+1 writes the other copy, so
-// concurrent rank bodies never write bytes another rank is reading.
+// fixed when the plan is built. A Channel is built once from those plans
+// and holds nothing else: post() packs each peer's values straight into a
+// message staged in the rank's message arena (Comm::stage), so the hot path
+// allocates nothing in steady state and copies each value once (the pack).
+// Costs are those of any send of the same bytes: the pack charge, and
+// routing, NIC serialization, phase bytes and trace records per message in
+// (src, send order). The arena's superstep parity (DESIGN.md §2i) keeps a
+// post in S+1 from overwriting the bytes its receivers read in S+1.
 
-#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -49,11 +43,8 @@ class Channel {
   const HaloPlans& send_plans() const { return send_; }
   const HaloPlans& recv_plans() const { return recv_; }
 
-  /// Packs v at each send plan's indices into this rank's buffer and sends
-  /// one borrowed grid message per peer (tag 0), in plan order, charging
-  /// kPackByte per packed byte. Const because the buffer is scratch: a
-  /// post's bytes are dead once the receiving superstep ends, and each rank
-  /// writes only its own buffer.
+  /// Packs v at each send plan's indices into one grid message per peer
+  /// (tag 0), in plan order, charging kPackByte per packed byte.
   void post(Comm& c, std::span<const double> v) const;
 
   /// Writes this superstep's inbox into v at the receive plans' indices.
@@ -72,10 +63,6 @@ class Channel {
   void receive(const Comm& c, Apply&& apply) const;
 
   HaloPlans send_, recv_;
-  // offset_[r][k]: start of send plan k's slice in one copy of rank r's
-  // buffer; offset_[r].back() is the copy's length.
-  std::vector<std::vector<std::size_t>> offset_;
-  mutable std::vector<std::vector<double>> buf_;  // per rank, two copies
 };
 
 }  // namespace dsmcpic::par

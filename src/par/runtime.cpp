@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "support/serialize.hpp"
 #include "trace/recorder.hpp"
@@ -25,54 +24,31 @@ void Comm::charge(WorkKind kind, double units) {
     rt_->trace_work_[rank_][static_cast<int>(kind)] += units;
 }
 
-void Comm::send(int dst, int tag, std::span<const std::byte> payload,
-                CostClass cls) {
-  // Copy into a pooled buffer instead of a fresh allocation: the buffer
-  // returns to this rank's pool after delivery, so steady-state traffic
-  // recycles the same memory superstep after superstep.
-  auto buf = acquire_payload(payload.size());
-  if (!payload.empty())
-    std::memcpy(buf.data(), payload.data(), payload.size());
-  send_owned(dst, tag, std::move(buf), cls);
-}
-
-std::vector<std::byte> Comm::acquire_payload(std::size_t nbytes) {
-  DSMCPIC_CHECK_MSG(rt_->in_superstep_,
-                    "acquire_payload outside a superstep");
-  return rt_->pool_acquire(rank_, nbytes);
-}
-
-void Comm::send_owned(int dst, int tag, std::vector<std::byte>&& payload,
-                      CostClass cls) {
-  Message m;
-  m.tag = tag;
-  m.byte_scale = rt_->scale_of(cls);
-  m.payload = std::move(payload);
-  stage(dst, std::move(m));
-}
-
-void Comm::send_view(int dst, int tag, std::span<const std::byte> bytes,
-                     CostClass cls) {
-  Message m;
-  m.tag = tag;
-  m.byte_scale = rt_->scale_of(cls);
-  m.borrowed = bytes.data();
-  m.borrowed_size = bytes.size();
-  stage(dst, std::move(m));
-}
-
-void Comm::stage(int dst, Message&& m) {
+std::byte* Comm::reserve(int dst, int tag, std::size_t nbytes,
+                         CostClass cls) {
   DSMCPIC_CHECK_MSG(rt_->in_superstep_, "send() outside a superstep");
   DSMCPIC_CHECK_MSG(dst >= 0 && dst < rt_->active_,
                     "bad destination rank " << dst << " (active set is [0, "
                                             << rt_->active_ << "))");
-  m.src = rank_;
-  m.dst = dst;
-  // Sender-private buffer: safe under concurrent superstep bodies.
-  rt_->staged_[rank_].push_back(std::move(m));
+  // Sender-private arena and staging buffer: safe under concurrent bodies.
+  Runtime::Arena& a = rt_->arenas_[rank_][rt_->supersteps_ & 1];
+  constexpr std::size_t kAlign = alignof(std::max_align_t);
+  static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= kAlign);
+  const std::size_t offset = (a.used + kAlign - 1) / kAlign * kAlign;
+  const std::size_t end = offset + nbytes;
+  if (end > a.capacity) {
+    // Earlier sends of this superstep are offsets, so moving them is safe.
+    const std::size_t capacity = std::max(end, 2 * a.capacity);
+    auto grown = std::make_unique_for_overwrite<std::byte[]>(capacity);
+    if (a.used) std::memcpy(grown.get(), a.data.get(), a.used);
+    a.data = std::move(grown);
+    a.capacity = capacity;
+  }
+  a.used = end;
+  rt_->staged_[rank_].push_back(
+      {dst, tag, rt_->scale_of(cls), offset, nbytes});
+  return a.data.get() + offset;
 }
-
-std::uint64_t Comm::superstep_index() const { return rt_->supersteps_; }
 
 const std::vector<Message>& Comm::inbox() const {
   return rt_->inbox_[rank_];
@@ -100,8 +76,8 @@ Runtime::Runtime(int nranks, Topology topology, double particle_scale,
       clocks_(nranks, 0.0),
       pending_(nranks),
       inbox_(nranks),
-      staged_(nranks),
-      pools_(nranks) {
+      arenas_(nranks),
+      staged_(nranks) {
   DSMCPIC_CHECK_MSG(nranks >= 1, "runtime needs at least one rank");
   DSMCPIC_CHECK_MSG(topo_.nranks() == nranks,
                     "topology sized for " << topo_.nranks() << " ranks, not "
@@ -204,46 +180,11 @@ void Runtime::set_active_ranks(int n) {
   active_ = n;
 }
 
-std::vector<std::byte> Runtime::pool_acquire(int rank, std::size_t nbytes) {
-  PayloadPool& p = pools_[rank];
-  ++p.acquires;
-  // Best fit: smallest free buffer whose capacity covers the request. The
-  // free list is sorted ascending by capacity, so this is a lower_bound and
-  // the reuse order is deterministic.
-  auto it = std::lower_bound(p.free.begin(), p.free.end(), nbytes,
-                             [](const std::vector<std::byte>& b,
-                                std::size_t n) { return b.capacity() < n; });
-  if (it == p.free.end()) {
-    ++p.misses;
-    return std::vector<std::byte>(nbytes);  // zero-filled, like the hit path
-  }
-  std::vector<std::byte> buf = std::move(*it);
-  p.free.erase(it);
-  buf.clear();
-  buf.resize(nbytes);  // value-initializes (zeros) without reallocating
-  return buf;
-}
-
-void Runtime::pool_recycle(int rank, std::vector<std::byte>&& buf) {
-  if (buf.capacity() == 0) return;  // nothing worth keeping
-  PayloadPool& p = pools_[rank];
-  ++p.recycles;
-  buf.clear();
-  const std::size_t cap = buf.capacity();
-  auto it = std::lower_bound(p.free.begin(), p.free.end(), cap,
-                             [](const std::vector<std::byte>& b,
-                                std::size_t n) { return b.capacity() < n; });
-  p.free.insert(it, std::move(buf));
-}
-
-PoolStats Runtime::pool_stats() const {
-  PoolStats s;
-  for (const PayloadPool& p : pools_) {
-    s.acquires += p.acquires;
-    s.misses += p.misses;
-    s.recycles += p.recycles;
-  }
-  return s;
+std::size_t Runtime::arena_bytes() const {
+  std::size_t n = 0;
+  for (const auto& pair : arenas_)
+    for (const Arena& a : pair) n += a.capacity;
+  return n;
 }
 
 void Runtime::superstep(const std::string& phase,
@@ -255,7 +196,7 @@ void Runtime::superstep(const std::string& phase,
   // Deliver messages produced in the previous superstep. swap (not move +
   // clear) so pending_ keeps its vector capacity — steady-state supersteps
   // reuse the same Message arrays without reallocating. Only the active
-  // prefix can hold messages (send_owned rejects parked destinations).
+  // prefix can hold messages (sends reject parked destinations).
   for (int r = 0; r < active_; ++r) std::swap(inbox_[r], pending_[r]);
 
   if (tracer_) {
@@ -266,7 +207,10 @@ void Runtime::superstep(const std::string& phase,
 
   in_superstep_ = true;
   current_phase_for_comm_ = pid;
-  for (int r = 0; r < active_; ++r) staged_[r].clear();
+  for (int r = 0; r < active_; ++r) {
+    staged_[r].clear();
+    arenas_[r][supersteps_ & 1].used = 0;  // holds superstep S-2's bytes
+  }
   // One thread budget (DESIGN.md §2c): with more active ranks than lanes,
   // the lanes go to rank bodies and every kernel inside a body runs inline
   // (ThreadPool's nested-call rule); otherwise the bodies run here in rank
@@ -296,14 +240,7 @@ void Runtime::superstep(const std::string& phase,
   if (tracer_)
     trace_spans_since(trace_mid_, pid, trace::SpanKind::kComm, trace_seq_,
                       /*with_work=*/false);
-  // Consumed inboxes: recycle each owned payload back to its SENDER's pool
-  // (the rank that will size a like payload next step), in deterministic
-  // dst-major, src-major order, on the driver thread. Borrowed messages own
-  // nothing, so the pool skips them.
-  for (int r = 0; r < active_; ++r) {
-    for (Message& m : inbox_[r]) pool_recycle(m.src, std::move(m.payload));
-    inbox_[r].clear();
-  }
+  for (int r = 0; r < active_; ++r) inbox_[r].clear();
   ++supersteps_;
 }
 
@@ -343,9 +280,13 @@ void Runtime::route_messages(int phase) {
   // 0..N-1 execution produced before per-rank staging existed. Only the
   // active prefix can have staged sends.
   for (int src = 0; src < active_; ++src) {
+    // Every body has returned, so no arena moves any more: resolve offsets.
+    const std::byte* arena = arenas_[src][supersteps_ & 1].data.get();
     auto& buf = staged_[src];
-    for (Message& m : buf) {
-      const double bytes = static_cast<double>(m.size()) * m.byte_scale;
+    for (const Staged& s : buf) {
+      const Message m{src, s.dst, s.tag, s.byte_scale,
+                      {arena + s.offset, s.size}};
+      const double bytes = static_cast<double>(m.bytes.size()) * m.byte_scale;
       const double cost =
           topo_.alpha(m.src, m.dst) * congestion_mult + bytes * prof.beta;
       const double send_begin = clocks_[m.src];
@@ -362,7 +303,7 @@ void Runtime::route_messages(int phase) {
         rec.src = m.src;
         rec.dst = m.dst;
         rec.tag = m.tag;
-        rec.bytes = m.size();
+        rec.bytes = m.bytes.size();
         rec.scaled_bytes = bytes;
         rec.send_begin = send_begin;
         rec.send_end = clocks_[m.src];
@@ -372,7 +313,7 @@ void Runtime::route_messages(int phase) {
         rec.seq = trace_seq_;
         tracer_->add_message(std::move(rec));
       }
-      pending_[m.dst].push_back(std::move(m));
+      pending_[m.dst].push_back(m);
     }
     buf.clear();
   }
@@ -402,8 +343,8 @@ void Runtime::apply_nic_serialization(int phase, std::uint64_t hint) {
     std::fill(nic_load_.begin(), nic_load_.end(), per_node);
   } else {
     for (int src = 0; src < active_; ++src) {
-      for (const Message& m : staged_[src]) {
-        const int ns = m.src / ppn;
+      for (const Staged& m : staged_[src]) {
+        const int ns = src / ppn;
         const int nd = m.dst / ppn;
         if (ns == nd) continue;
         nic_load_[ns] += 1.0;
@@ -468,26 +409,6 @@ double Runtime::allreduce_sum(const std::string& phase,
   double s = 0.0;
   for (double v : vals) s += v;
   return s;
-}
-
-double Runtime::allreduce_max(const std::string& phase,
-                              std::span<const double> vals) {
-  DSMCPIC_CHECK(static_cast<int>(vals.size()) == active_);
-  const int pid = phase_id(phase);
-  sync_clocks(2.0 * tree_stages() * topo_.profile().alpha_tree, pid);
-  double m = -std::numeric_limits<double>::infinity();
-  for (double v : vals) m = std::max(m, v);
-  return m;
-}
-
-double Runtime::allreduce_min(const std::string& phase,
-                              std::span<const double> vals) {
-  DSMCPIC_CHECK(static_cast<int>(vals.size()) == active_);
-  const int pid = phase_id(phase);
-  sync_clocks(2.0 * tree_stages() * topo_.profile().alpha_tree, pid);
-  double m = std::numeric_limits<double>::infinity();
-  for (double v : vals) m = std::min(m, v);
-  return m;
 }
 
 std::vector<double> Runtime::allreduce_sum_vec(
@@ -652,6 +573,10 @@ void Runtime::save(std::ostream& os) const {
 }
 
 void Runtime::load(std::istream& is) {
+  // A pending message's bytes live in an arena picked by superstep parity,
+  // which the restored counter may flip.
+  DSMCPIC_CHECK_MSG(undelivered_messages() == 0,
+                    "cannot restore with undelivered messages");
   const auto active = io::read_pod<std::int32_t>(is);
   DSMCPIC_CHECK_MSG(active >= 1 && active <= nranks_,
                     "checkpoint active-rank count " << active
@@ -669,9 +594,15 @@ void Runtime::load(std::istream& is) {
   phase_bytes_.clear();
   for (std::uint64_t i = 0; i < np; ++i) {
     const std::string name = io::read_string(is);
-    phase_ids_.emplace(name, static_cast<int>(i));
+    DSMCPIC_CHECK_MSG(phase_ids_.emplace(name, static_cast<int>(i)).second,
+                      "checkpoint repeats phase '" << name << "'");
     phase_names_.push_back(name);
     busy_.push_back(io::read_vec<double>(is));
+    DSMCPIC_CHECK_MSG(static_cast<int>(busy_.back().size()) == nranks_,
+                      "checkpoint phase '" << name << "' has "
+                                           << busy_.back().size()
+                                           << " busy entries for " << nranks_
+                                           << " ranks");
     phase_transactions_.push_back(io::read_pod<std::uint64_t>(is));
     phase_bytes_.push_back(io::read_pod<double>(is));
   }

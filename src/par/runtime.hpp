@@ -20,16 +20,21 @@
 // Message semantics: messages sent during superstep S are delivered to the
 // destination inbox at the start of superstep S+1 (BSP). Collectives are
 // driver-level calls between supersteps operating on per-rank values.
+// The runtime owns every message's bytes: a send writes them once into the
+// sender's double-buffered message arena, and the receiver reads them in
+// place (DESIGN.md §2i).
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <cstring>
 #include <functional>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "par/machine.hpp"
@@ -49,35 +54,20 @@ struct Message {
   int dst = -1;
   int tag = 0;
   double byte_scale = 1.0;  // cost-model multiplier for the payload bytes
-  /// Owned bytes (send, send_owned); empty for a borrowed message.
-  std::vector<std::byte> payload;
-  /// Borrowed bytes (send_view): the sender keeps them alive and unchanged
-  /// until the receiving superstep ends. Null for an owned message.
-  const std::byte* borrowed = nullptr;
-  std::size_t borrowed_size = 0;
-
-  /// Payload bytes, whichever kind of message this is.
-  std::size_t size() const { return borrowed ? borrowed_size : payload.size(); }
-  const std::byte* data() const { return borrowed ? borrowed : payload.data(); }
-
-  /// Reinterprets the payload as an array of trivially copyable T.
-  template <typename T>
-  std::vector<T> decode() const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto s = view<T>();
-    return std::vector<T>(s.begin(), s.end());
-  }
+  /// The payload, in the sender's message arena; valid within the
+  /// receiving superstep body, and aligned for any element type.
+  std::span<const std::byte> bytes;
 
   /// Zero-copy view of the payload as elements of T (valid while the
   /// message is alive — i.e. within the receiving superstep body).
   template <typename T>
   std::span<const T> view() const {
     static_assert(std::is_trivially_copyable_v<T>);
-    DSMCPIC_CHECK_MSG(size() % sizeof(T) == 0,
-                      "payload size " << size()
+    DSMCPIC_CHECK_MSG(bytes.size() % sizeof(T) == 0,
+                      "payload size " << bytes.size()
                                       << " not a multiple of element size "
                                       << sizeof(T));
-    return {reinterpret_cast<const T*>(data()), size() / sizeof(T)};
+    return {reinterpret_cast<const T*>(bytes.data()), bytes.size() / sizeof(T)};
   }
 };
 
@@ -93,38 +83,34 @@ class Comm {
   /// (scaled by the runtime's particle/grid scale per the kind's CostClass).
   void charge(WorkKind kind, double units);
 
-  /// Sends raw bytes to `dst`; delivered at the start of the next superstep.
-  /// `cls` selects the byte-cost scaling: particle payloads (migration) vs
-  /// grid payloads (halo/field data).
-  void send(int dst, int tag, std::span<const std::byte> payload,
-            CostClass cls = CostClass::kParticle);
-
-  /// Move-sends an owned byte buffer (no copy; hot paths).
-  void send_owned(int dst, int tag, std::vector<std::byte>&& payload,
-                  CostClass cls = CostClass::kParticle);
-
-  /// Sends bytes the caller keeps alive and unchanged until the receiving
-  /// superstep ends (no copy, no pool). Costs, routing and trace records are
-  /// those of an owned send of the same bytes. par::Channel is the one
-  /// caller: its plan-owned buffers outlive every message they back.
-  void send_view(int dst, int tag, std::span<const std::byte> bytes,
-                 CostClass cls = CostClass::kParticle);
-
-  /// Index of the superstep in flight: Runtime::supersteps() before it
-  /// completes.
-  std::uint64_t superstep_index() const;
-
-  /// Builds a byte buffer from trivially copyable elements and move-sends it.
-  /// The buffer comes from this rank's payload pool (zero steady-state
-  /// allocations once the pool is warm).
+  /// Reserves a message of `n` elements of T to `dst` in this rank's
+  /// message arena and returns it for the caller to fill; delivered at the
+  /// start of the next superstep. The bytes are not zeroed: the caller
+  /// writes every element before the body returns. The span is valid until
+  /// this rank's next send, which may grow (move) the arena. `cls` selects
+  /// the byte-cost scaling: particle payloads (migration) vs grid payloads
+  /// (halo/field data).
   template <typename T>
-  void send_pod_vec(int dst, int tag, const std::vector<T>& elems,
-                    CostClass cls = CostClass::kParticle) {
+  std::span<T> stage(int dst, int tag, std::size_t n,
+                     CostClass cls = CostClass::kParticle) {
     static_assert(std::is_trivially_copyable_v<T>);
-    auto bytes = acquire_payload(elems.size() * sizeof(T));
-    if (!bytes.empty())
-      std::memcpy(bytes.data(), elems.data(), bytes.size());
-    send_owned(dst, tag, std::move(bytes), cls);
+    static_assert(alignof(T) <= alignof(std::max_align_t));
+    return {reinterpret_cast<T*>(reserve(dst, tag, n * sizeof(T), cls)), n};
+  }
+
+  /// Sends a copy of trivially copyable elements (stage plus one memcpy).
+  template <typename T>
+  void send_pod(int dst, int tag, std::span<const T> elems,
+                CostClass cls = CostClass::kParticle) {
+    const std::span<T> out = stage<T>(dst, tag, elems.size(), cls);
+    if (!elems.empty())
+      std::memcpy(out.data(), elems.data(), elems.size_bytes());
+  }
+
+  /// Sends a copy of raw bytes.
+  void send(int dst, int tag, std::span<const std::byte> bytes,
+            CostClass cls = CostClass::kParticle) {
+    send_pod<std::byte>(dst, tag, bytes, cls);
   }
 
   /// Charges raw communication seconds to this rank (used for zero-payload
@@ -132,25 +118,9 @@ class Comm {
   /// the distributed strategy's empty send/recv pairs).
   void charge_comm_seconds(double seconds);
 
-  /// Returns a payload buffer of exactly `nbytes` (zero-filled) from this
-  /// rank's buffer pool; pass it to send_owned and it returns to the pool
-  /// after delivery. Rank-private, so concurrent bodies never contend.
-  std::vector<std::byte> acquire_payload(std::size_t nbytes);
-
   /// Point-to-point latency to a peer under the current topology (no
   /// congestion term).
   double alpha_to(int peer) const;
-
-  /// Sends an array of trivially copyable elements.
-  template <typename T>
-  void send_pod(int dst, int tag, std::span<const T> elems,
-                CostClass cls = CostClass::kParticle) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::span<const std::byte> bytes{
-        reinterpret_cast<const std::byte*>(elems.data()),
-        elems.size() * sizeof(T)};
-    send(dst, tag, bytes, cls);
-  }
 
   /// Messages delivered to this rank for the current superstep.
   const std::vector<Message>& inbox() const;
@@ -158,8 +128,9 @@ class Comm {
  private:
   friend class Runtime;
   Comm(Runtime* rt, int rank) : rt_(rt), rank_(rank) {}
-  /// Checks `dst` and appends `m` to this rank's staging buffer.
-  void stage(int dst, Message&& m);
+  /// Checks `dst`, bump-allocates `nbytes` in this rank's arena and stages
+  /// the send; returns where its bytes go.
+  std::byte* reserve(int dst, int tag, std::size_t nbytes, CostClass cls);
   Runtime* rt_;
   int rank_;
 };
@@ -171,15 +142,6 @@ struct PhaseStats {
   double busy_sum = 0.0;   // sum over ranks
   std::uint64_t transactions = 0;  // point-to-point messages routed
   double bytes = 0.0;              // scaled payload bytes routed
-};
-
-/// Cumulative payload-pool accounting (summed over ranks). In steady state
-/// `misses` stops growing: every acquire is served from the free list, so
-/// supersteps allocate no payload memory (asserted by par_test).
-struct PoolStats {
-  std::uint64_t acquires = 0;  // pooled buffers handed out
-  std::uint64_t misses = 0;    // acquires that had to allocate fresh
-  std::uint64_t recycles = 0;  // delivered payloads returned to a pool
 };
 
 class Runtime {
@@ -272,8 +234,10 @@ class Runtime {
   /// wall-clock-per-superstep lanes).
   std::uint64_t supersteps() const { return supersteps_; }
 
-  /// Aggregate payload-pool counters (summed over ranks).
-  PoolStats pool_stats() const;
+  /// Bytes held by the message arenas (capacity, summed over ranks and
+  /// both parities). Flat once every rank has seen its largest superstep:
+  /// steady-state supersteps allocate no message memory.
+  std::size_t arena_bytes() const;
 
   // ---- synchronizing collectives (driver level) -------------------------
 
@@ -282,8 +246,6 @@ class Runtime {
 
   /// Sum-allreduce of one double per rank; synchronizing.
   double allreduce_sum(const std::string& phase, std::span<const double> vals);
-  double allreduce_max(const std::string& phase, std::span<const double> vals);
-  double allreduce_min(const std::string& phase, std::span<const double> vals);
 
   /// Element-wise sum-allreduce of per-rank vectors (all of equal length);
   /// cost modelled as a ring allreduce of `len * 8` bytes. Returns the sum.
@@ -369,11 +331,6 @@ class Runtime {
   void apply_nic_serialization(int phase, std::uint64_t hint);
   double tree_stages() const;
   std::size_t staged_count() const;
-  /// Pops the best-fit buffer (smallest capacity >= nbytes) from `rank`'s
-  /// pool, or allocates fresh on a miss. Zero-filled to exactly nbytes.
-  std::vector<std::byte> pool_acquire(int rank, std::size_t nbytes);
-  /// Returns a delivered payload to `rank`'s pool (capacity-sorted insert).
-  void pool_recycle(int rank, std::vector<std::byte>&& buf);
 
   int nranks_;
   int active_;  // active prefix [0, active_); == nranks_ unless elastic
@@ -393,21 +350,32 @@ class Runtime {
 
   std::vector<std::vector<Message>> pending_;  // delivery at next superstep
   std::vector<std::vector<Message>> inbox_;    // current superstep
-  // Per-SENDER staging for the current superstep: rank r's body appends
-  // only to staged_[r], so concurrent bodies never share a buffer. Routing
-  // walks staged_[0..N-1] in order, which reproduces the sequential
-  // schedule's global send order bit-for-bit.
-  std::vector<std::vector<Message>> staged_;
-  // Per-rank payload free lists, sorted ascending by capacity. A rank's
-  // body acquires only from its own pool (no locks, deterministic reuse
-  // order); delivered payloads are recycled back to their SENDER's pool on
-  // the driver thread at the end of the receiving superstep, so a
-  // steady-state communication pattern cycles the same buffers forever.
-  struct PayloadPool {
-    std::vector<std::vector<std::byte>> free;
-    std::uint64_t acquires = 0, misses = 0, recycles = 0;
+  // Message arenas (DESIGN.md §2i), two per rank picked by superstep
+  // parity: a send in superstep S bump-allocates in its sender's arena for
+  // S's parity, which is reset when S starts and keeps its capacity. The
+  // receivers read those bytes in S+1, and S+2 is the first superstep that
+  // writes them again, so concurrent bodies never write bytes another rank
+  // is reading.
+  struct Arena {
+    std::unique_ptr<std::byte[]> data;
+    std::size_t capacity = 0;
+    std::size_t used = 0;
   };
-  std::vector<PayloadPool> pools_;
+  std::vector<std::array<Arena, 2>> arenas_;  // [rank][superstep parity]
+  // A send of the superstep in flight. Its bytes are an arena offset until
+  // route_messages, which runs after every body, when no arena can grow.
+  struct Staged {
+    int dst;
+    int tag;
+    double byte_scale;
+    std::size_t offset;
+    std::size_t size;
+  };
+  // Per-SENDER staging for the current superstep: rank r's body appends
+  // only to staged_[r] and its own arena, so concurrent bodies never share
+  // a buffer. Routing walks staged_[0..N-1] in order, which reproduces the
+  // sequential schedule's global send order bit-for-bit.
+  std::vector<std::vector<Staged>> staged_;
   std::vector<double> nic_load_;  // per-node scratch (apply_nic_serialization)
   std::uint64_t supersteps_ = 0;
   bool in_superstep_ = false;

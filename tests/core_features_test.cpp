@@ -230,6 +230,22 @@ TEST(Checkpoint, RejectsInflatedLengthPrefix) {
   std::filesystem::remove(path);
 }
 
+// A cell owned by a rank outside the active set would index past the
+// per-rank cell lists when the decomposition is rebuilt. The owner map's
+// first entry follows its 8-byte length prefix; ranks are small, so one
+// byte sets it to the rank count.
+TEST(Checkpoint, RejectsAnOwnerOutsideTheActiveRanks) {
+  const std::string path = temp_path("dsmcpic_ckpt_owner.bin");
+  CoupledSolver solver(tiny_config(), tiny_parallel(2));
+  solver.run(2);
+  solver.save_checkpoint(path);
+  constexpr std::streamoff kFirstOwner = 8 + 4 + 8 + 4 + 4 + 8;
+  poke(path, kFirstOwner, 2);
+  CoupledSolver restored(tiny_config(), tiny_parallel(2));
+  EXPECT_THROW(restored.restore_checkpoint(path), Error);
+  std::filesystem::remove(path);
+}
+
 // Checkpoints carry no uninitialised bytes: two identical runs write
 // byte-identical files. The second run steps on its own thread, whose stack
 // and heap arena differ from the first's, so stray bytes would differ too.

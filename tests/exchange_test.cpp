@@ -212,6 +212,83 @@ TEST(ExchangeHierarchical, FewerInterNodeTransactionsThanDistributed) {
             dc.phase_stats("x").transactions);
 }
 
+// Every strategy gives the same stores, stats, clocks and phase stats
+// whether its rank bodies run in rank order (threads 1) or concurrently on
+// the pool (threads 4 < 10 ranks), each rank sending from its own arena.
+TEST(ExchangeThreads, RankDispatchMatchesSerialForEveryStrategy) {
+  par::MachineProfile prof = par::MachineProfile::tianhe2();
+  prof.cores_per_node = 4;  // 3 nodes: HC's leader round is exercised
+  constexpr int kRanks = 10;
+  std::vector<std::vector<int>> ring(kRanks);
+  for (int r = 0; r < kRanks; ++r)
+    ring[r] = {(r + kRanks - 1) % kRanks, (r + 1) % kRanks};
+  struct Result {
+    std::vector<std::vector<std::int64_t>> ids;
+    std::vector<std::vector<double>> px;
+    std::vector<std::vector<std::int32_t>> cells;
+    std::int64_t migrated, kept, dropped;
+    std::vector<double> clocks;
+    par::PhaseStats phase;
+  };
+  auto run = [&](Strategy strategy, int threads) {
+    par::Runtime rt(kRanks, par::Topology(prof, kRanks), 1.0, 1.0, threads);
+    std::vector<ParticleStore> stores(kRanks);
+    std::vector<std::vector<std::uint8_t>> removed(kRanks);
+    std::vector<std::int32_t> owner(kRanks * 5);
+    for (std::size_t c = 0; c < owner.size(); ++c)
+      owner[c] = static_cast<std::int32_t>((c * 7) % kRanks);
+    Rng rng(17);
+    std::int64_t id = 0;
+    for (int r = 0; r < kRanks; ++r) {
+      for (int i = 0; i < 60 + 10 * r; ++i) {
+        ParticleRecord p;
+        p.cell = static_cast<std::int32_t>(rng.uniform_index(owner.size()));
+        p.id = id++;
+        p.position = {rng.uniform(), rng.uniform(), rng.uniform()};
+        stores[r].add(p);
+      }
+      removed[r].assign(stores[r].size(), 0);
+      for (std::size_t i = 0; i < removed[r].size(); i += 11) removed[r][i] = 1;
+    }
+    const ExchangeStats st = exchange_particles(rt, "x", strategy, stores,
+                                                removed, owner, 0, &ring);
+    Result out{{}, {}, {}, st.migrated, st.kept, st.dropped, {},
+               rt.phase_stats("x")};
+    for (int r = 0; r < kRanks; ++r) {
+      const auto ids = stores[r].ids();
+      const auto cells = stores[r].cells();
+      out.ids.emplace_back(ids.begin(), ids.end());
+      out.cells.emplace_back(cells.begin(), cells.end());
+      out.px.emplace_back();
+      for (std::size_t i = 0; i < stores[r].size(); ++i)
+        out.px.back().push_back(stores[r].record(i).position.x);
+      out.clocks.push_back(rt.clock(r));
+    }
+    EXPECT_EQ(rt.undelivered_messages(), 0u);
+    return out;
+  };
+  for (const Strategy s : {Strategy::kCentralized, Strategy::kDistributed,
+                           Strategy::kHierarchical, Strategy::kNeighbor}) {
+    SCOPED_TRACE(strategy_name(s));
+    const Result want = run(s, 1);
+    const Result got = run(s, 4);
+    EXPECT_GT(want.migrated, 0);
+    EXPECT_GT(want.dropped, 0);
+    EXPECT_EQ(got.ids, want.ids);
+    EXPECT_EQ(got.cells, want.cells);
+    EXPECT_EQ(got.px, want.px);
+    EXPECT_EQ(got.migrated, want.migrated);
+    EXPECT_EQ(got.kept, want.kept);
+    EXPECT_EQ(got.dropped, want.dropped);
+    EXPECT_EQ(got.clocks, want.clocks);
+    EXPECT_EQ(got.phase.busy_max, want.phase.busy_max);
+    EXPECT_EQ(got.phase.busy_min, want.phase.busy_min);
+    EXPECT_EQ(got.phase.busy_sum, want.phase.busy_sum);
+    EXPECT_EQ(got.phase.transactions, want.phase.transactions);
+    EXPECT_EQ(got.phase.bytes, want.phase.bytes);
+  }
+}
+
 TEST(ExchangeCosts, CentralizedSerializesAtRoot) {
   const int nranks = 8;
   World w(nranks, nranks * 4);

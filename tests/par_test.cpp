@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "par/channel.hpp"
 #include "par/machine.hpp"
 #include "par/runtime.hpp"
+#include "support/serialize.hpp"
 #include "trace/recorder.hpp"
 
 namespace dsmcpic::par {
@@ -83,7 +88,7 @@ TEST(Runtime, MessageDeliveryNextSuperstep) {
       EXPECT_EQ(c.rank(), 2);
       EXPECT_EQ(m.src, 0);
       EXPECT_EQ(m.tag, 5);
-      const auto v = m.decode<int>();
+      const auto v = m.view<int>();
       ASSERT_EQ(v.size(), 3u);
       EXPECT_EQ(v[2], 3);
       ++delivered;
@@ -145,8 +150,6 @@ TEST(Runtime, AllreduceSumAndExtremes) {
   Runtime rt = make_runtime(4);
   const std::vector<double> vals{1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(rt.allreduce_sum("x", vals), 10.0);
-  EXPECT_DOUBLE_EQ(rt.allreduce_max("x", vals), 4.0);
-  EXPECT_DOUBLE_EQ(rt.allreduce_min("x", vals), 1.0);
 }
 
 TEST(Runtime, AllreduceSumVecElementwise) {
@@ -237,8 +240,10 @@ TEST(Runtime, SendOwnedAndViewRoundTrip) {
   Runtime rt = make_runtime(2);
   rt.superstep("a", [](Comm& c) {
     if (c.rank() != 0) return;
-    std::vector<double> vals{1.5, -2.5, 3.25};
-    c.send_pod_vec(1, 9, vals, CostClass::kGrid);
+    const std::span<double> vals = c.stage<double>(1, 9, 3, CostClass::kGrid);
+    vals[0] = 1.5;
+    vals[1] = -2.5;
+    vals[2] = 3.25;
   });
   rt.superstep("b", [](Comm& c) {
     if (c.rank() != 1) return;
@@ -414,53 +419,134 @@ TEST(Runtime, HintInsideSuperstepBodyThrows) {
       Error);
 }
 
-TEST(Runtime, PayloadPoolStopsAllocatingInSteadyState) {
-  // A fixed communication pattern repeated over supersteps: after the first
-  // two rounds (messages recycle to the sender's pool one superstep after
-  // delivery), acquires keep growing but misses — fresh allocations — stop.
+TEST(Runtime, MessageArenaStopsGrowingInSteadyState) {
+  // A fixed communication pattern repeated over supersteps: once both
+  // parities have carried one round, the arenas hold their capacity and
+  // later rounds allocate nothing.
   Runtime rt = make_runtime(4);
   auto round = [&] {
     rt.superstep("ring", [](Comm& c) {
-      std::vector<double> vals(16, static_cast<double>(c.rank()));
-      c.send_pod_vec((c.rank() + 1) % c.size(), 0, vals,
-                     CostClass::kParticle);
+      const std::vector<double> vals(16, static_cast<double>(c.rank()));
+      c.send_pod<double>((c.rank() + 1) % c.size(), 0, vals);
     });
   };
-  for (int i = 0; i < 3; ++i) round();
-  const PoolStats warm = rt.pool_stats();
-  EXPECT_GT(warm.acquires, 0u);
+  for (int i = 0; i < 2; ++i) round();
+  const std::size_t warm = rt.arena_bytes();
+  EXPECT_GE(warm, 2 * 4 * 16 * sizeof(double));
   for (int i = 0; i < 5; ++i) round();
-  const PoolStats steady = rt.pool_stats();
-  EXPECT_EQ(steady.misses, warm.misses) << "steady-state supersteps allocated";
-  EXPECT_GT(steady.acquires, warm.acquires);
-  EXPECT_GT(steady.recycles, warm.recycles);
+  EXPECT_EQ(rt.arena_bytes(), warm) << "steady-state supersteps allocated";
 }
 
-TEST(Runtime, AcquiredPayloadsAreZeroFilled) {
-  // A recycled buffer must come back all-zero, exactly like a fresh one —
-  // otherwise a sender that skips bytes would leak the previous message.
+/// Distinct, non-zero test values: message m's element i.
+double pattern(int m, std::size_t i) { return 1000.0 * (m + 1) + i + 0.5; }
+
+// A body's later send may grow (move) its arena. Sends are offsets until
+// routing, so the messages staged before the move arrive byte-exact.
+TEST(Runtime, ArenaGrowthKeepsEarlierMessagesIntact) {
+  const std::vector<std::size_t> sizes{3, 5000, 40000};  // each one grows
   Runtime rt = make_runtime(2);
-  rt.superstep("dirty", [](Comm& c) {
+  rt.superstep("grow", [&](Comm& c) {
     if (c.rank() != 0) return;
-    auto p = c.acquire_payload(64);
-    std::fill(p.begin(), p.end(), std::byte{0xFF});
-    c.send_owned(1, 0, std::move(p), CostClass::kParticle);
-  });
-  rt.superstep("deliver", [](Comm& c) {
-    if (c.rank() == 1) {
-      ASSERT_EQ(c.inbox().size(), 1u);
+    for (std::size_t m = 0; m < sizes.size(); ++m) {
+      std::vector<double> vals(sizes[m]);
+      for (std::size_t i = 0; i < vals.size(); ++i)
+        vals[i] = pattern(static_cast<int>(m), i);
+      c.send_pod<double>(1, static_cast<int>(m), vals);
     }
   });
-  // The dirty buffer recycled to rank 0's pool; a smaller acquire must
-  // best-fit it and still hand back zeroes.
-  rt.superstep("reuse", [](Comm& c) {
-    if (c.rank() != 0) return;
-    auto p = c.acquire_payload(32);
-    for (const std::byte b : p) EXPECT_EQ(b, std::byte{0});
-    c.send_owned(1, 0, std::move(p), CostClass::kParticle);
+  rt.superstep("check", [&](Comm& c) {
+    if (c.rank() != 1) return;
+    ASSERT_EQ(c.inbox().size(), sizes.size());
+    for (std::size_t m = 0; m < sizes.size(); ++m) {
+      const auto vals = c.inbox()[m].view<double>();
+      ASSERT_EQ(vals.size(), sizes[m]);
+      for (std::size_t i = 0; i < vals.size(); ++i)
+        ASSERT_EQ(vals[i], pattern(static_cast<int>(m), i))
+            << "message " << m << " element " << i;
+    }
   });
-  const PoolStats st = rt.pool_stats();
-  EXPECT_EQ(st.recycles, 1u);
+}
+
+// Payloads of any trivially copyable type can be viewed in place: every
+// message starts on a max_align_t boundary, even after an odd-sized one.
+TEST(Runtime, EveryMessageIsMaxAligned) {
+  struct Record {  // ParticleRecord's shape
+    double position[3];
+    double velocity[3];
+    std::int64_t id;
+    std::int32_t species;
+    std::int32_t cell;
+  };
+  Runtime rt = make_runtime(2);
+  rt.superstep("send", [](Comm& c) {
+    if (c.rank() != 0) return;
+    const std::byte one{0x5A};
+    c.send(1, 0, std::span<const std::byte>(&one, 1));
+    const std::vector<double> d{1.25, -7.5};
+    c.send_pod<double>(1, 1, d);
+    c.send(1, 2, std::span<const std::byte>(&one, 1));
+    const std::vector<Record> recs{{{1, 2, 3}, {4, 5, 6}, 42, 1, 7},
+                                   {{-1, -2, -3}, {0, 0, 1}, 43, 0, 9}};
+    c.send_pod<Record>(1, 3, recs);
+  });
+  rt.superstep("recv", [](Comm& c) {
+    if (c.rank() != 1) return;
+    ASSERT_EQ(c.inbox().size(), 4u);
+    for (const Message& m : c.inbox())
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m.bytes.data()) %
+                    alignof(std::max_align_t),
+                0u)
+          << "message " << m.tag;
+    EXPECT_EQ(c.inbox()[0].bytes[0], std::byte{0x5A});
+    const auto d = c.inbox()[1].view<double>();
+    ASSERT_EQ(d.size(), 2u);
+    EXPECT_EQ(d[0], 1.25);
+    EXPECT_EQ(d[1], -7.5);
+    const auto recs = c.inbox()[3].view<Record>();
+    ASSERT_EQ(recs.size(), 2u);
+    EXPECT_EQ(recs[0].id, 42);
+    EXPECT_EQ(recs[0].velocity[2], 6.0);
+    EXPECT_EQ(recs[1].cell, 9);
+    EXPECT_EQ(recs[1].position[0], -1.0);
+  });
+}
+
+// Each rank reads the message sent to it in superstep S while it sends the
+// next one in S+1, for several rounds. A rank that overwrote its S bytes in
+// S+1 would corrupt what its receiver reads later in S+1 (rank order at
+// threads 1) or at the same time (rank dispatch at threads 4 < 6 ranks).
+TEST(Runtime, RelayReadsTheLastSuperstepWhileSendingTheNext) {
+  constexpr int kRanks = 6;
+  constexpr std::size_t kLen = 257;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Runtime rt(kRanks, Topology(MachineProfile::tianhe2(), kRanks), 1.0, 1.0,
+               threads);
+    auto send = [](Comm& c, int round) {
+      const std::span<double> out =
+          c.stage<double>((c.rank() + 1) % kRanks, round, kLen);
+      for (std::size_t i = 0; i < kLen; ++i)
+        out[i] = pattern(round * kRanks + c.rank(), i);
+    };
+    std::vector<int> received(kRanks, 0);
+    rt.superstep("relay", [&](Comm& c) { send(c, 0); });
+    for (int round = 1; round <= 4; ++round)
+      rt.superstep("relay", [&](Comm& c) {
+        ASSERT_EQ(c.inbox().size(), 1u);
+        const Message& m = c.inbox()[0];
+        const int src = (c.rank() + kRanks - 1) % kRanks;
+        EXPECT_EQ(m.src, src);
+        send(c, round);  // before reading: a shared buffer shows here
+        const auto vals = m.view<double>();
+        ASSERT_EQ(vals.size(), kLen);
+        for (std::size_t i = 0; i < kLen; ++i)
+          ASSERT_EQ(vals[i], pattern((round - 1) * kRanks + src, i))
+              << "round " << round << " element " << i;
+        ++received[c.rank()];
+      });
+    rt.superstep("drain", [](Comm&) {});
+    EXPECT_EQ(received, std::vector<int>(kRanks, 4));
+  }
 }
 
 TEST(Runtime, ActiveRankShrinkFreezesParkedClocks) {
@@ -504,8 +590,8 @@ TEST(Runtime, SetActiveRanksValidation) {
   EXPECT_THROW(rt.set_active_ranks(5), Error);
   rt.superstep("fly", [](Comm& c) {
     if (c.rank() == 0) {
-      std::vector<double> v{1.0};
-      c.send_pod_vec(1, 0, v, CostClass::kParticle);
+      const std::vector<double> v{1.0};
+      c.send_pod<double>(1, 0, v, CostClass::kParticle);
     }
   });
   // Messages in flight: resizing would strand them.
@@ -521,8 +607,8 @@ TEST(Runtime, SendToParkedRankThrows) {
   EXPECT_THROW(rt.superstep("bad",
                             [](Comm& c) {
                               if (c.rank() != 0) return;
-                              std::vector<double> v{1.0};
-                              c.send_pod_vec(3, 0, v, CostClass::kParticle);
+                              const std::vector<double> v{1.0};
+                              c.send_pod<double>(3, 0, v, CostClass::kParticle);
                             }),
                Error);
 }
@@ -557,6 +643,52 @@ TEST(Runtime, SuperstepCounterCounts) {
   rt.superstep("a", [](Comm&) {});
   rt.superstep("b", [](Comm&) {});
   EXPECT_EQ(rt.supersteps(), 2u);
+}
+
+/// A hand-written Runtime::save stream for 3 ranks: one phase per
+/// (name, busy row) pair.
+std::string runtime_stream(
+    const std::vector<std::pair<std::string, std::vector<double>>>& phases) {
+  std::ostringstream os;
+  io::write_pod<std::int32_t>(os, 3);   // active ranks
+  io::write_pod<std::uint64_t>(os, 7);  // supersteps
+  io::write_vec(os, std::vector<double>{1.0, 2.0, 3.0});
+  io::write_pod<std::uint64_t>(os, phases.size());
+  for (const auto& [name, busy] : phases) {
+    io::write_string(os, name);
+    io::write_vec(os, busy);
+    io::write_pod<std::uint64_t>(os, 1);
+    io::write_pod<double>(os, 8.0);
+  }
+  return os.str();
+}
+
+// A busy row shorter than the rank count would be written past its end by
+// the next charge (and an empty one breaks phase_stats). The full-length
+// row is the control: the stream itself is well formed.
+TEST(Runtime, LoadRejectsABusyRowOfTheWrongLength) {
+  {
+    Runtime rt = make_runtime(3);
+    std::istringstream is(runtime_stream({{"a", {1, 2, 3}}, {"b", {0, 0, 1}}}));
+    rt.load(is);
+    EXPECT_EQ(rt.supersteps(), 7u);
+    EXPECT_EQ(rt.phases(), (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(rt.phase_stats("a").busy_max, 3.0);
+  }
+  for (const std::vector<double>& row :
+       {std::vector<double>{1, 2}, std::vector<double>{}}) {
+    Runtime rt = make_runtime(3);
+    std::istringstream is(runtime_stream({{"a", {1, 2, 3}}, {"b", row}}));
+    EXPECT_THROW(rt.load(is), Error) << row.size() << " entries";
+  }
+}
+
+// Phase ids are positions in the stream: a repeated name would leave one
+// busy row that no name reaches.
+TEST(Runtime, LoadRejectsADuplicatePhaseName) {
+  Runtime rt = make_runtime(3);
+  std::istringstream is(runtime_stream({{"a", {1, 2, 3}}, {"a", {4, 5, 6}}}));
+  EXPECT_THROW(rt.load(is), Error);
 }
 
 // ---- persistent channels ----------------------------------------------------
@@ -697,20 +829,21 @@ TEST(Channel, PostMatchesSendPodInEveryAccountedNumber) {
   }
 }
 
-// Channel posts never touch the payload pool.
-TEST(Channel, PostsBypassThePayloadPool) {
+// Repeated channel posts reuse the arena capacity of the first one.
+TEST(Channel, SteadyPostsDoNotGrowTheArena) {
   const auto [send, recv] = irregular_plans(4);
   const Channel channel(send, recv);
   Runtime rt = make_runtime(4);
   std::vector<std::vector<double>> v(4, std::vector<double>(16, 1.0));
+  std::size_t first = 0;
   for (int s = 0; s < 3; ++s) {
     rt.superstep("post", [&](Comm& c) { channel.post(c, v[c.rank()]); });
     rt.superstep("recv",
                  [&](Comm& c) { channel.recv_add(c, v[c.rank()]); });
+    if (s == 0) first = rt.arena_bytes();
   }
-  const PoolStats st = rt.pool_stats();
-  EXPECT_EQ(st.acquires, 0u);
-  EXPECT_EQ(st.recycles, 0u);
+  EXPECT_GT(first, 0u);
+  EXPECT_EQ(rt.arena_bytes(), first);
   EXPECT_GT(rt.phase_stats("post").transactions, 0u);
 }
 
