@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/error.hpp"
-#include "support/serialize.hpp"
 
 namespace dsmcpic::balance {
 
@@ -89,19 +88,6 @@ std::vector<double> CostModel::cell_weights(
     w[c] = wc;
   }
   return w;
-}
-
-void CostModel::save(std::ostream& os) const {
-  io::write_vec(os, scale_);
-  io::write_pod(os, observations_);
-}
-
-void CostModel::load(std::istream& is) {
-  std::vector<double> scale = io::read_vec<double>(is);
-  DSMCPIC_CHECK_MSG(scale.size() == scale_.size(),
-                    "cost-model checkpoint rank-count mismatch");
-  scale_ = std::move(scale);
-  observations_ = io::read_pod<int>(is);
 }
 
 }  // namespace dsmcpic::balance

@@ -22,10 +22,11 @@
 // across --threads / --sort-every.
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "support/error.hpp"
 
 namespace dsmcpic::balance {
 
@@ -86,9 +87,15 @@ class CostModel {
                                    double weight_ratio,
                                    double cell_weight) const;
 
-  // Checkpoint support (state must survive restart bit-for-bit).
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
+  /// Checkpoint fields (state must survive restart bit-for-bit).
+  template <class Ar>
+  void persist(Ar& ar) {
+    [[maybe_unused]] const std::size_t nranks = scale_.size();
+    ar(scale_, observations_);
+    if constexpr (Ar::kLoading)
+      DSMCPIC_CHECK_MSG(scale_.size() == nranks,
+                        "cost-model checkpoint rank-count mismatch");
+  }
 
  private:
   CostModelConfig cfg_;

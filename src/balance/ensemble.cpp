@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "support/error.hpp"
-#include "support/serialize.hpp"
 
 namespace dsmcpic::balance {
 
@@ -93,39 +92,6 @@ int EnsemblePolicy::decide(int step, int current_active) {
   if (d.resized) ++resizes_;
   decisions_.push_back(d);
   return d.target;
-}
-
-void EnsemblePolicy::save(std::ostream& os) const {
-  io::write_pod(os, compute_ewma_);
-  io::write_pod(os, overhead_ewma_);
-  io::write_pod(os, has_observation_);
-  io::write_pod(os, resizes_);
-  // Field by field: the struct's padding bytes are uninitialised.
-  io::write_pod<std::uint64_t>(os, decisions_.size());
-  for (const EnsembleDecision& d : decisions_) {
-    io::write_pod(os, d.step);
-    io::write_pod(os, d.compute_ewma);
-    io::write_pod(os, d.overhead_ewma);
-    io::write_pod(os, d.target);
-    io::write_pod(os, d.resized);
-  }
-}
-
-void EnsemblePolicy::load(std::istream& is) {
-  compute_ewma_ = io::read_pod<double>(is);
-  overhead_ewma_ = io::read_pod<double>(is);
-  has_observation_ = io::read_pod<bool>(is);
-  resizes_ = io::read_pod<int>(is);
-  const auto n = io::read_pod<std::uint64_t>(is);
-  io::check_length(is, n, 2 * sizeof(int) + 2 * sizeof(double) + sizeof(bool));
-  decisions_.resize(n);
-  for (EnsembleDecision& d : decisions_) {
-    d.step = io::read_pod<int>(is);
-    d.compute_ewma = io::read_pod<double>(is);
-    d.overhead_ewma = io::read_pod<double>(is);
-    d.target = io::read_pod<int>(is);
-    d.resized = io::read_pod<bool>(is);
-  }
 }
 
 }  // namespace dsmcpic::balance

@@ -26,7 +26,6 @@
 // deterministic and reproducible across thread budgets.
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -62,6 +61,12 @@ struct EnsembleDecision {
   double overhead_ewma = 0.0;  // step time sum - compute sum (EWMA)
   int target = 0;              // chosen active count (== current if no move)
   bool resized = false;
+
+  /// Field by field: the struct's padding bytes never reach a file.
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(step, compute_ewma, overhead_ewma, target, resized);
+  }
 };
 
 class EnsemblePolicy {
@@ -85,9 +90,11 @@ class EnsemblePolicy {
   const std::vector<EnsembleDecision>& decisions() const { return decisions_; }
   int resizes() const { return resizes_; }
 
-  // Checkpoint support (state must survive restart bit-for-bit).
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
+  /// Checkpoint fields (state must survive restart bit-for-bit).
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(compute_ewma_, overhead_ewma_, has_observation_, resizes_, decisions_);
+  }
 
  private:
   EnsembleConfig cfg_;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "support/error.hpp"
-#include "support/serialize.hpp"
 
 namespace dsmcpic::balance {
 
@@ -126,51 +125,6 @@ PolicyDecision RebalancePolicy::decide(int step, double lii) {
   }
   decisions_.push_back(d);
   return d;
-}
-
-void RebalancePolicy::save(std::ostream& os) const {
-  io::write_pod(os, imb_level_);
-  io::write_pod(os, imb_trend_);
-  io::write_pod(os, prev_imb_);
-  io::write_pod(os, has_observation_);
-  io::write_pod(os, residual_);
-  io::write_pod(os, awaiting_residual_);
-  io::write_pod(os, residual_samples_);
-  io::write_pod(os, cost_estimate_);
-  io::write_pod(os, rebalances_observed_);
-  // Field by field: the struct's padding bytes are uninitialised.
-  io::write_pod<std::uint64_t>(os, decisions_.size());
-  for (const PolicyDecision& d : decisions_) {
-    io::write_pod(os, d.step);
-    io::write_pod(os, d.lii);
-    io::write_pod(os, d.imbalance_per_step);
-    io::write_pod(os, d.projected_imbalance_cost);
-    io::write_pod(os, d.rebalance_cost_estimate);
-    io::write_pod(os, d.rebalance);
-  }
-}
-
-void RebalancePolicy::load(std::istream& is) {
-  imb_level_ = io::read_pod<double>(is);
-  imb_trend_ = io::read_pod<double>(is);
-  prev_imb_ = io::read_pod<double>(is);
-  has_observation_ = io::read_pod<bool>(is);
-  residual_ = io::read_pod<double>(is);
-  awaiting_residual_ = io::read_pod<bool>(is);
-  residual_samples_ = io::read_pod<int>(is);
-  cost_estimate_ = io::read_pod<double>(is);
-  rebalances_observed_ = io::read_pod<int>(is);
-  const auto n = io::read_pod<std::uint64_t>(is);
-  io::check_length(is, n, sizeof(int) + 4 * sizeof(double) + sizeof(bool));
-  decisions_.resize(n);
-  for (PolicyDecision& d : decisions_) {
-    d.step = io::read_pod<int>(is);
-    d.lii = io::read_pod<double>(is);
-    d.imbalance_per_step = io::read_pod<double>(is);
-    d.projected_imbalance_cost = io::read_pod<double>(is);
-    d.rebalance_cost_estimate = io::read_pod<double>(is);
-    d.rebalance = io::read_pod<bool>(is);
-  }
 }
 
 }  // namespace dsmcpic::balance

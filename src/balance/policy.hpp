@@ -29,7 +29,6 @@
 // are deterministic and reproducible run-to-run and across thread budgets.
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -78,6 +77,13 @@ struct PolicyDecision {
   /// Branch B: the learned cost of a rebalance event.
   double rebalance_cost_estimate = 0.0;
   bool rebalance = false;
+
+  /// Field by field: the struct's padding bytes never reach a file.
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(step, lii, imbalance_per_step, projected_imbalance_cost,
+       rebalance_cost_estimate, rebalance);
+  }
 };
 
 class RebalancePolicy {
@@ -113,9 +119,13 @@ class RebalancePolicy {
   /// Number of measured rebalance events fed back so far.
   int rebalances_observed() const { return rebalances_observed_; }
 
-  // Checkpoint support (state must survive restart bit-for-bit).
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
+  /// Checkpoint fields (state must survive restart bit-for-bit).
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(imb_level_, imb_trend_, prev_imb_, has_observation_, residual_,
+       awaiting_residual_, residual_samples_, cost_estimate_,
+       rebalances_observed_, decisions_);
+  }
 
  private:
   PolicyConfig cfg_;

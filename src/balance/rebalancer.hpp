@@ -64,6 +64,11 @@ struct RebalanceStats {
   double last_lii = 0.0;
   std::int64_t cells_reassigned = 0;       // cells whose owner changed
   std::int64_t matching_operations = 0;    // KM inner ops (work accounting)
+
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(checks, rebalances, last_lii, cells_reassigned, matching_operations);
+  }
 };
 
 /// Computes lii from per-rank accumulated times over the evaluation window

@@ -3,12 +3,19 @@
 // stores, the grid ownership, the electric potential (warm-start state),
 // every RNG stream position (injector remainders/sequences, collision
 // carries/majorants), the sampler accumulators, the load balancer's window
-// and statistics, and the virtual-time accounting. Restoring into a solver
-// built with the identical configuration reproduces the uninterrupted run
-// bit-for-bit (verified by the CheckpointRestart tests).
+// and statistics, the elastic ensemble's state and the virtual-time
+// accounting. Restoring into a solver built with the identical
+// configuration reproduces the uninterrupted run bit-for-bit (verified by
+// the Checkpoint tests).
+//
+// The body is listed once, in Staged::fields, and goes through the
+// io::Writer / io::Reader codec (DESIGN.md §3b). A restore reads into a
+// Staged copy, checks it whole (sizes, ranges, ownership), and only then
+// commits it, so a refused restore leaves the solver as it was.
 
-#include <cstring>
+#include <bit>
 #include <fstream>
+#include <memory>
 
 #include "core/solver.hpp"
 #include "support/serialize.hpp"
@@ -18,16 +25,10 @@ namespace dsmcpic::core {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x44534d435049434bULL;  // "DSMCPICK"
-// v2: ParticleStore serializes per-component (SoA) position/velocity arrays
-// instead of two Vec3 arrays.
-// v3: adds the particle-phase busy window, cost-model scales and
-// rebalance-policy state (DESIGN.md §2h).
-// v4: adds the elastic-ensemble state — the solver's active rank count and
-// the ensemble policy's EWMAs/decision log — and the runtime stream gained
-// its active set and superstep counter (DESIGN.md §2i).
-// v5: the rebalance and ensemble decision logs are written field by field
-// instead of as raw structs, so no padding bytes reach the file and two
-// identical runs write identical checkpoints.
+// v2 split particles into SoA columns; v3 added the busy window, cost model
+// and rebalance policy (DESIGN.md §2h); v4 the elastic ensemble and the
+// runtime's active set and superstep counter (§2i); v5 writes the decision
+// logs field by field, so no padding bytes reach the file.
 constexpr std::uint32_t kVersion = 5;
 
 /// A cheap fingerprint of the configuration pieces that must match between
@@ -43,110 +44,136 @@ std::uint64_t config_fingerprint(const SolverConfig& cfg,
   mix(static_cast<std::uint64_t>(par.nranks));
   mix(cfg.seed);
   mix(static_cast<std::uint64_t>(cfg.pic_substeps));
-  std::uint64_t bits;
-  static_assert(sizeof(double) == sizeof(std::uint64_t));
-  std::memcpy(&bits, &cfg.dt_dsmc, sizeof(bits));
-  mix(bits);
-  std::memcpy(&bits, &cfg.fnum_h, sizeof(bits));
-  mix(bits);
+  mix(std::bit_cast<std::uint64_t>(cfg.dt_dsmc));
+  mix(std::bit_cast<std::uint64_t>(cfg.fnum_h));
   return h;
 }
 
 }  // namespace
 
+/// Everything a checkpoint restores, staged. The members are named like the
+/// solver's own, so one field list serves both.
+struct CoupledSolver::Staged {
+  int step_ = 0;
+  int steps_since_rebalance_ = 0;
+  std::vector<std::int32_t> owner_;
+  std::vector<dsmc::ParticleStore> stores_;
+  std::vector<double> phi_global_;
+  std::unique_ptr<dsmc::MaxwellianInjector> inject_h_, inject_hplus_;
+  std::unique_ptr<dsmc::CollisionKernel> collide_;
+  dsmc::CellSampler sampler_;
+  BusyWindow prev_busy_;
+  std::vector<double> prev_predicted_;
+  balance::RebalanceStats lb_stats_;
+  balance::CostModel cost_model_;
+  balance::RebalancePolicy policy_;
+  int active_ = 0;
+  balance::EnsemblePolicy ensemble_;
+  par::Runtime::Accounting runtime_;
+
+  /// Copies of the solver's components (their configuration sizes the
+  /// checks) and fresh, empty stores.
+  explicit Staged(const CoupledSolver& s)
+      : inject_h_(std::make_unique<dsmc::MaxwellianInjector>(*s.inject_h_)),
+        inject_hplus_(
+            std::make_unique<dsmc::MaxwellianInjector>(*s.inject_hplus_)),
+        collide_(std::make_unique<dsmc::CollisionKernel>(*s.collide_)),
+        sampler_(s.sampler_),
+        cost_model_(s.cost_model_),
+        policy_(s.policy_),
+        ensemble_(s.ensemble_) {}
+
+  /// The checkpoint body's one field list, run on the solver by a save and
+  /// on a Staged copy by a restore.
+  template <class Ar, class State>
+  static void fields(Ar& ar, State& s, par::Runtime::Accounting& runtime,
+                     std::uint64_t fingerprint) {
+    ar.constant(kMagic, "not a dsmcpic checkpoint");
+    ar.constant(kVersion, "unsupported checkpoint version");
+    ar.constant(fingerprint,
+                "checkpoint was written with a different configuration");
+    ar(s.step_, s.steps_since_rebalance_, s.owner_, s.stores_, s.phi_global_,
+       *s.inject_h_, *s.inject_hplus_, *s.collide_, s.sampler_,
+       s.prev_busy_.total, s.prev_busy_.pm, s.prev_busy_.poi,
+       s.prev_busy_.particle, s.prev_predicted_, s.lb_stats_, s.cost_model_,
+       s.policy_, s.active_, s.ensemble_, runtime);
+  }
+};
+
 void CoupledSolver::save_checkpoint(const std::string& path) const {
+  par::Runtime::Accounting runtime = rt_->accounting();
+  const std::uint64_t fingerprint =
+      config_fingerprint(cfg_, pcfg_, coarse_.num_tets());
   io::atomic_write_file(path, [&](std::ostream& os) {
-    io::write_pod(os, kMagic);
-    io::write_pod(os, kVersion);
-    io::write_pod(os, config_fingerprint(cfg_, pcfg_, coarse_.num_tets()));
-
-    io::write_pod(os, step_);
-    io::write_pod(os, steps_since_rebalance_);
-    io::write_vec(os, owner_);
-
-    io::write_pod<std::uint64_t>(os, stores_.size());
-    for (const auto& store : stores_) store.save(os);
-
-    io::write_vec(os, phi_global_);
-
-    inject_h_->save(os);
-    inject_hplus_->save(os);
-    collide_->save(os);
-    sampler_.save(os);
-
-    io::write_vec(os, prev_busy_.total);
-    io::write_vec(os, prev_busy_.pm);
-    io::write_vec(os, prev_busy_.poi);
-    io::write_vec(os, prev_busy_.particle);
-    io::write_vec(os, prev_predicted_);
-    io::write_pod(os, lb_stats_);
-    cost_model_.save(os);
-    policy_.save(os);
-    io::write_pod<std::int32_t>(os, active_);
-    ensemble_.save(os);
-
-    rt_->save(os);
+    io::Writer w(os);
+    Staged::fields(w, *this, runtime, fingerprint);
   });
 }
 
 void CoupledSolver::restore_checkpoint(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  DSMCPIC_CHECK_MSG(is.good(), "cannot open checkpoint file " << path);
-
-  DSMCPIC_CHECK_MSG(io::read_pod<std::uint64_t>(is) == kMagic,
-                    "not a dsmcpic checkpoint: " << path);
-  DSMCPIC_CHECK_MSG(io::read_pod<std::uint32_t>(is) == kVersion,
-                    "unsupported checkpoint version");
-  DSMCPIC_CHECK_MSG(io::read_pod<std::uint64_t>(is) ==
-                        config_fingerprint(cfg_, pcfg_, coarse_.num_tets()),
-                    "checkpoint was written with a different configuration");
-
-  step_ = io::read_pod<int>(is);
-  steps_since_rebalance_ = io::read_pod<int>(is);
-  owner_ = io::read_vec<std::int32_t>(is);
-  DSMCPIC_CHECK(static_cast<std::int32_t>(owner_.size()) == coarse_.num_tets());
-
-  const auto nstores = io::read_pod<std::uint64_t>(is);
-  DSMCPIC_CHECK(nstores == stores_.size());
-  for (auto& store : stores_) store.load(is);
-  for (std::size_t r = 0; r < stores_.size(); ++r)
-    removed_[r].assign(stores_[r].size(), 0);
-
-  phi_global_ = io::read_vec<double>(is);
-  DSMCPIC_CHECK(phi_global_.size() ==
-                static_cast<std::size_t>(psys_->num_nodes()));
-
-  inject_h_->load(is);
-  inject_hplus_->load(is);
-  collide_->load(is);
-  sampler_.load(is);
-
-  for (std::vector<double>* busy : {&prev_busy_.total, &prev_busy_.pm,
-                                    &prev_busy_.poi, &prev_busy_.particle}) {
-    *busy = io::read_vec<double>(is);
-    DSMCPIC_CHECK_MSG(static_cast<int>(busy->size()) == pcfg_.nranks,
-                      "checkpoint busy window has " << busy->size()
-                                                    << " ranks, not "
-                                                    << pcfg_.nranks);
+  Staged st(*this);
+  {
+    std::ifstream is(path, std::ios::binary);
+    DSMCPIC_CHECK_MSG(is.good(), "cannot open checkpoint file " << path);
+    io::Reader r(is);
+    Staged::fields(r, st, st.runtime_,
+                   config_fingerprint(cfg_, pcfg_, coarse_.num_tets()));
   }
-  prev_predicted_ = io::read_vec<double>(is);
-  lb_stats_ = io::read_pod<balance::RebalanceStats>(is);
-  cost_model_.load(is);
-  policy_.load(is);
-  const auto active = io::read_pod<std::int32_t>(is);
-  DSMCPIC_CHECK_MSG(active >= 1 && active <= pcfg_.nranks,
-                    "checkpoint active rank count " << active
-                                                    << " out of range");
-  active_ = active;
-  for (const std::int32_t o : owner_)
-    DSMCPIC_CHECK_MSG(o >= 0 && o < active_,
-                      "checkpoint assigns a cell to rank "
-                          << o << " outside the active set [0, " << active_
-                          << ")");
-  ensemble_.load(is);
 
-  rt_->load(is);
-  DSMCPIC_CHECK(rt_->active_ranks() == active_);
+  // Every check runs on the staged state before anything is committed.
+  const auto need = [](bool ok, const char* what) {
+    DSMCPIC_CHECK_MSG(ok, "checkpoint refused: " << what);
+  };
+  const auto nranks = static_cast<std::size_t>(pcfg_.nranks);
+  const std::int32_t ncells = coarse_.num_tets();
+  need(st.owner_.size() == static_cast<std::size_t>(ncells),
+       "owner map does not match the grid");
+  need(st.stores_.size() == nranks, "store count is not the rank count");
+  need(st.phi_global_.size() == static_cast<std::size_t>(psys_->num_nodes()),
+       "potential does not match the mesh");
+  for (const auto* busy : {&st.prev_busy_.total, &st.prev_busy_.pm,
+                           &st.prev_busy_.poi, &st.prev_busy_.particle})
+    need(busy->size() == nranks, "busy window is not one entry per rank");
+  need(st.prev_predicted_.empty() || st.prev_predicted_.size() == nranks,
+       "predicted loads are not one entry per rank");
+  need(st.active_ >= 1 && st.active_ <= pcfg_.nranks &&
+           st.runtime_.active == st.active_,
+       "active rank count out of range or unlike the runtime's");
+  for (const std::int32_t o : st.owner_)
+    need(o >= 0 && o < st.active_, "a cell is owned outside the active set");
+  // Particles sit in their owner's store between steps: exchange and
+  // rebalance migration both end with every particle at its cell's owner.
+  for (std::size_t r = 0; r < nranks; ++r) {
+    const auto cells = st.stores_[r].cells();
+    const auto species = st.stores_[r].species();
+    for (std::size_t i = 0; i < cells.size(); ++i)
+      need(cells[i] >= 0 && cells[i] < ncells &&
+               st.owner_[cells[i]] == static_cast<std::int32_t>(r) &&
+               species[i] >= 0 && species[i] < species_.size(),
+           "a particle lies outside its rank's cells or the species table");
+  }
+
+  // Commit. The runtime checks its own accounting first and throws before
+  // changing anything; nothing after it can fail for checked input.
+  rt_->restore(std::move(st.runtime_));
+  step_ = st.step_;
+  steps_since_rebalance_ = st.steps_since_rebalance_;
+  owner_ = std::move(st.owner_);
+  stores_ = std::move(st.stores_);
+  phi_global_ = std::move(st.phi_global_);
+  *inject_h_ = std::move(*st.inject_h_);
+  *inject_hplus_ = std::move(*st.inject_hplus_);
+  *collide_ = std::move(*st.collide_);
+  sampler_ = std::move(st.sampler_);
+  prev_busy_ = std::move(st.prev_busy_);
+  prev_predicted_ = std::move(st.prev_predicted_);
+  lb_stats_ = st.lb_stats_;
+  cost_model_ = std::move(st.cost_model_);
+  policy_ = std::move(st.policy_);
+  active_ = st.active_;
+  ensemble_ = std::move(st.ensemble_);
+  for (std::size_t r = 0; r < nranks; ++r)
+    removed_[r].assign(stores_[r].size(), 0);
 
   // Rebuild decomposition-dependent structures for the restored ownership
   // (no cost charging: the restored clocks already contain everything).

@@ -166,6 +166,10 @@ class CoupledSolver {
   void restore_checkpoint(const std::string& path);
 
  private:
+  /// A restore's staged state and the checkpoint's field list
+  /// (core/checkpoint.cpp).
+  struct Staged;
+
   void init();
   /// (Re)builds rank-local cell lists, node exchange, and the distributed
   /// Poisson operator for the current owner_ map; charges setup work under

@@ -1,7 +1,5 @@
 #include "dsmc/collide.hpp"
 
-#include "support/serialize.hpp"
-
 #include <array>
 #include <cmath>
 
@@ -251,20 +249,6 @@ CollisionStats CollisionKernel::collide_cells(
     for (const ParticleRecord& ion : scr.spawned[c]) store.add(ion);
   stats.ionizations = chem_stats.ionizations;
   return stats;
-}
-
-void CollisionKernel::save(std::ostream& os) const {
-  io::write_vec(os, sigma_cr_max_);
-  io::write_vec(os, candidate_carry_);
-}
-
-void CollisionKernel::load(std::istream& is) {
-  sigma_cr_max_ = io::read_vec<double>(is);
-  candidate_carry_ = io::read_vec<double>(is);
-  DSMCPIC_CHECK_MSG(
-      sigma_cr_max_.size() == static_cast<std::size_t>(grid_->num_tets()) &&
-          candidate_carry_.size() == sigma_cr_max_.size(),
-      "checkpoint cell count mismatch");
 }
 
 }  // namespace dsmcpic::dsmc

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -15,6 +14,7 @@
 #include "dsmc/particles.hpp"
 #include "dsmc/species.hpp"
 #include "mesh/tetmesh.hpp"
+#include "support/error.hpp"
 #include "support/kernel_exec.hpp"
 #include "support/rng.hpp"
 
@@ -80,13 +80,16 @@ class CollisionKernel {
     return p.pi_d2 * std::pow(ratio, p.omega_mhalf) / p.gamma;
   }
 
-  /// Per-cell adaptive majorants (exposed so rebalancing can migrate them
-  /// conceptually; they are global per-cell state, not per-rank).
-  std::span<const double> sigma_cr_max() const { return sigma_cr_max_; }
-
-  /// Binary checkpoint of the adaptive per-cell state.
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
+  /// Checkpoint fields: the adaptive per-cell state.
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(sigma_cr_max_, candidate_carry_);
+    if constexpr (Ar::kLoading)
+      DSMCPIC_CHECK_MSG(
+          sigma_cr_max_.size() == static_cast<std::size_t>(grid_->num_tets()) &&
+              candidate_carry_.size() == sigma_cr_max_.size(),
+          "checkpoint cell count mismatch");
+  }
 
  private:
   /// Cost-balanced chunk plan: fills scr.bounds with a contiguous partition

@@ -1,7 +1,5 @@
 #include "dsmc/injector.hpp"
 
-#include "support/serialize.hpp"
-
 #include <cmath>
 
 #include "dsmc/maxwell.hpp"
@@ -189,20 +187,6 @@ std::int64_t MaxwellianInjector::inject_filtered(ParticleStore& store,
     }
   }
   return injected;
-}
-
-void MaxwellianInjector::save(std::ostream& os) const {
-  io::write_vec(os, remainder_);
-  io::write_vec(os, seq_);
-}
-
-void MaxwellianInjector::load(std::istream& is) {
-  remainder_ = io::read_vec<double>(is);
-  seq_ = io::read_vec<std::int64_t>(is);
-  DSMCPIC_CHECK_MSG(remainder_.size() == faces_.size() &&
-                        seq_.size() == faces_.size(),
-                    "checkpoint inlet-face count mismatch");
-  prepared_step_ = -1;
 }
 
 }  // namespace dsmcpic::dsmc

@@ -4,13 +4,13 @@
 // to the inlet (Sec. III-B).
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
 #include "dsmc/particles.hpp"
 #include "dsmc/species.hpp"
 #include "mesh/tetmesh.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace dsmcpic::dsmc {
@@ -71,11 +71,18 @@ class MaxwellianInjector {
   double expected_per_step(const SpeciesTable& table, double dt) const;
 
   const InjectionSpec& spec() const { return spec_; }
-  std::size_t num_faces() const { return faces_.size(); }
 
-  /// Binary checkpoint of the stream state (remainders, id sequences).
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
+  /// Checkpoint fields: the stream state (remainders, id sequences).
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(remainder_, seq_);
+    if constexpr (Ar::kLoading) {
+      DSMCPIC_CHECK_MSG(remainder_.size() == faces_.size() &&
+                            seq_.size() == faces_.size(),
+                        "checkpoint inlet-face count mismatch");
+      prepared_step_ = -1;
+    }
+  }
 
  private:
   template <typename FaceFilter>

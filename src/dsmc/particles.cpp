@@ -2,8 +2,6 @@
 
 #include <numeric>
 
-#include "support/serialize.hpp"
-
 namespace dsmcpic::dsmc {
 
 void ParticleStore::reserve(std::size_t n) {
@@ -46,15 +44,6 @@ std::size_t ParticleStore::add(const ParticleRecord& p) {
 ParticleRecord ParticleStore::record(std::size_t i) const {
   DSMCPIC_CHECK(i < size());
   return {position(i), velocity(i), id_[i], species_[i], cell_[i]};
-}
-
-void ParticleStore::set_record(std::size_t i, const ParticleRecord& p) {
-  DSMCPIC_CHECK(i < size());
-  set_position(i, p.position);
-  set_velocity(i, p.velocity);
-  id_[i] = p.id;
-  species_[i] = p.species;
-  cell_[i] = p.cell;
 }
 
 void ParticleStore::remove_swap(std::size_t i) {
@@ -178,36 +167,6 @@ std::int64_t ParticleStore::count_species(std::int32_t species_id) const {
   for (std::int32_t s : species_)
     if (s == species_id) ++n;
   return n;
-}
-
-void ParticleStore::save(std::ostream& os) const {
-  io::write_vec(os, px_);
-  io::write_vec(os, py_);
-  io::write_vec(os, pz_);
-  io::write_vec(os, vx_);
-  io::write_vec(os, vy_);
-  io::write_vec(os, vz_);
-  io::write_vec(os, id_);
-  io::write_vec(os, species_);
-  io::write_vec(os, cell_);
-}
-
-void ParticleStore::load(std::istream& is) {
-  px_ = io::read_vec<double>(is);
-  py_ = io::read_vec<double>(is);
-  pz_ = io::read_vec<double>(is);
-  vx_ = io::read_vec<double>(is);
-  vy_ = io::read_vec<double>(is);
-  vz_ = io::read_vec<double>(is);
-  id_ = io::read_vec<std::int64_t>(is);
-  species_ = io::read_vec<std::int32_t>(is);
-  cell_ = io::read_vec<std::int32_t>(is);
-  const std::size_t n = px_.size();
-  DSMCPIC_CHECK(py_.size() == n && pz_.size() == n);
-  DSMCPIC_CHECK(vx_.size() == n && vy_.size() == n && vz_.size() == n);
-  DSMCPIC_CHECK(id_.size() == n);
-  DSMCPIC_CHECK(species_.size() == n);
-  DSMCPIC_CHECK(cell_.size() == n);
 }
 
 CellIndex::CellIndex(const ParticleStore& store, std::int32_t num_cells) {

@@ -9,7 +9,6 @@
 // wire.
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -76,11 +75,6 @@ class ParticleStore {
   // use the component spans directly in vectorized loops).
   Vec3 position(std::size_t i) const { return {px_[i], py_[i], pz_[i]}; }
   Vec3 velocity(std::size_t i) const { return {vx_[i], vy_[i], vz_[i]}; }
-  void set_position(std::size_t i, const Vec3& p) {
-    px_[i] = p.x;
-    py_[i] = p.y;
-    pz_[i] = p.z;
-  }
   void set_velocity(std::size_t i, const Vec3& v) {
     vx_[i] = v.x;
     vy_[i] = v.y;
@@ -88,7 +82,6 @@ class ParticleStore {
   }
 
   ParticleRecord record(std::size_t i) const;
-  void set_record(std::size_t i, const ParticleRecord& p);
 
   /// Removes particle i by swapping with the last element (O(1)); the caller
   /// must iterate accordingly (i is reused for the swapped-in particle).
@@ -121,9 +114,21 @@ class ParticleStore {
   /// Number of particles of one species.
   std::int64_t count_species(std::int32_t species_id) const;
 
-  /// Binary checkpoint of the whole store (component-vector layout).
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
+  /// Checkpoint fields (component-vector layout; io::Writer/io::Reader).
+  /// A read checks that the columns have one length; cell and species
+  /// ranges are checked by the restoring solver, which knows them.
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(px_, py_, pz_, vx_, vy_, vz_, id_, species_, cell_);
+    if constexpr (Ar::kLoading) {
+      const std::size_t n = px_.size();
+      DSMCPIC_CHECK_MSG(py_.size() == n && pz_.size() == n &&
+                            vx_.size() == n && vy_.size() == n &&
+                            vz_.size() == n && id_.size() == n &&
+                            species_.size() == n && cell_.size() == n,
+                        "checkpoint particle columns differ in length");
+    }
+  }
 
  private:
   std::vector<double> px_, py_, pz_;

@@ -1,7 +1,5 @@
 #include "dsmc/sampling.hpp"
 
-#include "support/serialize.hpp"
-
 #include <cmath>
 
 namespace dsmcpic::dsmc {
@@ -10,9 +8,9 @@ CellSampler::CellSampler(const mesh::TetMesh& grid, const SpeciesTable& table)
     : grid_(&grid), table_(&table) {
   const auto ns = static_cast<std::size_t>(table.size());
   const auto nc = static_cast<std::size_t>(grid.num_tets());
-  count_.assign(ns, std::vector<double>(nc, 0.0));
-  vel_sum_.assign(ns, std::vector<Vec3>(nc));
-  vel2_sum_.assign(ns, std::vector<double>(nc, 0.0));
+  moments_.assign(ns, Moments{std::vector<double>(nc, 0.0),
+                              std::vector<Vec3>(nc),
+                              std::vector<double>(nc, 0.0)});
 }
 
 void CellSampler::sample(const ParticleStore& store) {
@@ -28,48 +26,52 @@ void CellSampler::accumulate(const ParticleStore& store) {
     const auto s = static_cast<std::size_t>(species[i]);
     const auto c = static_cast<std::size_t>(cells[i]);
     const Vec3 v{vx[i], vy[i], vz[i]};
-    count_[s][c] += 1.0;
-    vel_sum_[s][c] += v;
-    vel2_sum_[s][c] += v.norm2();
+    Moments& m = moments_[s];
+    m.count[c] += 1.0;
+    m.vel_sum[c] += v;
+    m.vel2_sum[c] += v.norm2();
   }
 }
 
 void CellSampler::reset() {
   samples_ = 0;
-  for (auto& v : count_) std::fill(v.begin(), v.end(), 0.0);
-  for (auto& v : vel_sum_) std::fill(v.begin(), v.end(), Vec3{});
-  for (auto& v : vel2_sum_) std::fill(v.begin(), v.end(), 0.0);
+  for (Moments& m : moments_) {
+    std::fill(m.count.begin(), m.count.end(), 0.0);
+    std::fill(m.vel_sum.begin(), m.vel_sum.end(), Vec3{});
+    std::fill(m.vel2_sum.begin(), m.vel2_sum.end(), 0.0);
+  }
 }
 
 std::vector<double> CellSampler::number_density(std::int32_t species) const {
-  const auto s = static_cast<std::size_t>(species);
+  const std::vector<double>& count =
+      moments_[static_cast<std::size_t>(species)].count;
   const double fnum = (*table_)[species].fnum;
-  std::vector<double> out(count_[s].size(), 0.0);
+  std::vector<double> out(count.size(), 0.0);
   if (samples_ == 0) return out;
   for (std::size_t c = 0; c < out.size(); ++c)
-    out[c] = count_[s][c] * fnum /
+    out[c] = count[c] * fnum /
              (grid_->volume(static_cast<std::int32_t>(c)) *
               static_cast<double>(samples_));
   return out;
 }
 
 std::vector<Vec3> CellSampler::mean_velocity(std::int32_t species) const {
-  const auto s = static_cast<std::size_t>(species);
-  std::vector<Vec3> out(count_[s].size());
+  const Moments& m = moments_[static_cast<std::size_t>(species)];
+  std::vector<Vec3> out(m.count.size());
   for (std::size_t c = 0; c < out.size(); ++c)
-    if (count_[s][c] > 0.0) out[c] = vel_sum_[s][c] / count_[s][c];
+    if (m.count[c] > 0.0) out[c] = m.vel_sum[c] / m.count[c];
   return out;
 }
 
 std::vector<double> CellSampler::temperature(std::int32_t species) const {
-  const auto s = static_cast<std::size_t>(species);
+  const Moments& m = moments_[static_cast<std::size_t>(species)];
   const double mass = (*table_)[species].mass;
-  std::vector<double> out(count_[s].size(), 0.0);
+  std::vector<double> out(m.count.size(), 0.0);
   for (std::size_t c = 0; c < out.size(); ++c) {
-    const double n = count_[s][c];
+    const double n = m.count[c];
     if (n < 2.0) continue;
-    const Vec3 vbar = vel_sum_[s][c] / n;
-    const double v2bar = vel2_sum_[s][c] / n;
+    const Vec3 vbar = m.vel_sum[c] / n;
+    const double v2bar = m.vel2_sum[c] / n;
     const double var = std::max(0.0, v2bar - vbar.norm2());
     // 3/2 kB T = 1/2 m <c^2>  (peculiar speed variance over 3 dof)
     out[c] = mass * var / (3.0 * constants::kBoltzmann);
@@ -78,39 +80,17 @@ std::vector<double> CellSampler::temperature(std::int32_t species) const {
 }
 
 void CellSampler::merge(const CellSampler& other) {
-  DSMCPIC_CHECK(count_.size() == other.count_.size());
+  DSMCPIC_CHECK(moments_.size() == other.moments_.size());
   samples_ = std::max(samples_, other.samples_);
-  for (std::size_t s = 0; s < count_.size(); ++s) {
-    DSMCPIC_CHECK(count_[s].size() == other.count_[s].size());
-    for (std::size_t c = 0; c < count_[s].size(); ++c) {
-      count_[s][c] += other.count_[s][c];
-      vel_sum_[s][c] += other.vel_sum_[s][c];
-      vel2_sum_[s][c] += other.vel2_sum_[s][c];
+  for (std::size_t s = 0; s < moments_.size(); ++s) {
+    Moments& m = moments_[s];
+    const Moments& o = other.moments_[s];
+    DSMCPIC_CHECK(m.count.size() == o.count.size());
+    for (std::size_t c = 0; c < m.count.size(); ++c) {
+      m.count[c] += o.count[c];
+      m.vel_sum[c] += o.vel_sum[c];
+      m.vel2_sum[c] += o.vel2_sum[c];
     }
-  }
-}
-
-void CellSampler::save(std::ostream& os) const {
-  io::write_pod(os, samples_);
-  io::write_pod<std::uint64_t>(os, count_.size());
-  for (std::size_t s = 0; s < count_.size(); ++s) {
-    io::write_vec(os, count_[s]);
-    io::write_vec(os, vel_sum_[s]);
-    io::write_vec(os, vel2_sum_[s]);
-  }
-}
-
-void CellSampler::load(std::istream& is) {
-  samples_ = io::read_pod<std::int64_t>(is);
-  const auto ns = io::read_pod<std::uint64_t>(is);
-  DSMCPIC_CHECK_MSG(ns == count_.size(),
-                    "checkpoint species count mismatch");
-  for (std::size_t s = 0; s < count_.size(); ++s) {
-    count_[s] = io::read_vec<double>(is);
-    vel_sum_[s] = io::read_vec<Vec3>(is);
-    vel2_sum_[s] = io::read_vec<double>(is);
-    DSMCPIC_CHECK(count_[s].size() ==
-                  static_cast<std::size_t>(grid_->num_tets()));
   }
 }
 

@@ -4,13 +4,13 @@
 // validation experiment (Fig. 8/9).
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
 #include "dsmc/particles.hpp"
 #include "dsmc/species.hpp"
 #include "mesh/tetmesh.hpp"
+#include "support/error.hpp"
 
 namespace dsmcpic::dsmc {
 
@@ -44,18 +44,37 @@ class CellSampler {
   /// samplers); both must be built over the same grid/species.
   void merge(const CellSampler& other);
 
-  /// Binary checkpoint of the accumulators.
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
+  /// Checkpoint fields: the accumulators.
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(samples_, moments_);
+    if constexpr (Ar::kLoading) {
+      const auto nc = static_cast<std::size_t>(grid_->num_tets());
+      DSMCPIC_CHECK_MSG(moments_.size() == static_cast<std::size_t>(table_->size()),
+                        "checkpoint species count mismatch");
+      for (const Moments& m : moments_)
+        DSMCPIC_CHECK_MSG(m.count.size() == nc && m.vel_sum.size() == nc &&
+                              m.vel2_sum.size() == nc,
+                          "checkpoint sampler cell count mismatch");
+    }
+  }
 
  private:
+  /// One species' per-cell accumulators.
+  struct Moments {
+    std::vector<double> count;
+    std::vector<Vec3> vel_sum;
+    std::vector<double> vel2_sum;
+    template <class Ar>
+    void persist(Ar& ar) {
+      ar(count, vel_sum, vel2_sum);
+    }
+  };
+
   const mesh::TetMesh* grid_;
   const SpeciesTable* table_;
   std::int64_t samples_ = 0;
-  // [species][cell]
-  std::vector<std::vector<double>> count_;
-  std::vector<std::vector<Vec3>> vel_sum_;
-  std::vector<std::vector<double>> vel2_sum_;
+  std::vector<Moments> moments_;  // per species
 };
 
 /// Samples a per-cell field along the cylinder axis (0,0,z), z in

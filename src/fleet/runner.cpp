@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <sstream>
 
@@ -29,6 +30,41 @@ std::string hex_digest(std::uint64_t v) {
                 static_cast<unsigned long long>(v));
   return buf;
 }
+
+/// lease.bin: what a parked run needs, beside its checkpoint.bin, to resume
+/// in a fresh process.
+struct Lease {
+  std::string run_id;
+  std::string scenario;
+  std::uint64_t seed = 0;
+  std::int64_t ranks = 0;
+  std::int64_t steps_total = 0;
+  std::int64_t steps_done = 0;  // the step its checkpoint was taken at
+  std::int64_t leases = 0;
+  std::uint64_t digest = 0;     // streaming digest state
+  obs::StepTotals carried;      // report totals of the completed leases
+
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar.constant(std::string(kLeaseSchema), "unexpected lease schema");
+    ar(run_id, scenario, seed, ranks, steps_total, steps_done, leases, digest,
+       carried.injected, carried.migrated_dsmc, carried.migrated_pic,
+       carried.collisions, carried.ionizations, carried.recombinations,
+       carried.rebalances);
+    if constexpr (Ar::kLoading) {
+      // Checked before the job state narrows them to int.
+      constexpr std::int64_t kMax = std::numeric_limits<int>::max();
+      DSMCPIC_CHECK_MSG(ranks >= 1 && ranks <= kMax,
+                        "lease has " << ranks << " ranks");
+      DSMCPIC_CHECK_MSG(steps_done >= 0 && steps_done < steps_total &&
+                            steps_total <= kMax,
+                        "lease parked at step " << steps_done << " of "
+                                                << steps_total);
+      DSMCPIC_CHECK_MSG(leases >= 1 && leases <= kMax,
+                        "lease counts " << leases << " leases");
+    }
+  }
+};
 
 const char* state_name(RunState s) {
   switch (s) {
@@ -103,26 +139,18 @@ std::string FleetRunner::add_resume(const std::string& run_dir) {
   while (!dir.empty() && dir.back() == '/') dir.pop_back();
   std::ifstream is(dir + "/lease.bin", std::ios::binary);
   DSMCPIC_CHECK_MSG(is.good(), "cannot open " << dir << "/lease.bin");
-  const std::string schema = io::read_string(is);
-  DSMCPIC_CHECK_MSG(schema == kLeaseSchema,
-                    "unexpected lease schema '" << schema << "'");
+  Lease lease;
+  io::Reader{is}(lease);
   auto js = std::make_unique<JobState>();
-  js->run_id = io::read_string(is);
-  js->job.scenario = io::read_string(is);
-  js->job.seed = io::read_pod<std::uint64_t>(is);
-  js->ranks = static_cast<int>(io::read_pod<std::int64_t>(is));
-  js->steps_total = static_cast<int>(io::read_pod<std::int64_t>(is));
-  js->steps_done = static_cast<int>(io::read_pod<std::int64_t>(is));
-  js->leases = static_cast<int>(io::read_pod<std::int64_t>(is));
-  js->digest.set_state(io::read_pod<std::uint64_t>(is));
-  js->carried.injected = io::read_pod<std::int64_t>(is);
-  js->carried.migrated_dsmc = io::read_pod<std::int64_t>(is);
-  js->carried.migrated_pic = io::read_pod<std::int64_t>(is);
-  js->carried.collisions = io::read_pod<std::int64_t>(is);
-  js->carried.ionizations = io::read_pod<std::int64_t>(is);
-  js->carried.recombinations = io::read_pod<std::int64_t>(is);
-  js->carried.rebalances = io::read_pod<std::int64_t>(is);
-  DSMCPIC_CHECK_MSG(is.good(), "truncated " << dir << "/lease.bin");
+  js->run_id = lease.run_id;
+  js->job.scenario = lease.scenario;
+  js->job.seed = lease.seed;
+  js->ranks = static_cast<int>(lease.ranks);
+  js->steps_total = static_cast<int>(lease.steps_total);
+  js->steps_done = static_cast<int>(lease.steps_done);
+  js->leases = static_cast<int>(lease.leases);
+  js->digest.set_state(lease.digest);
+  static_cast<obs::StepTotals&>(js->carried) = lease.carried;
   js->scenario = &corpus_.by_name(js->job.scenario);
   js->dir = dir;
   js->has_checkpoint = true;
@@ -132,25 +160,12 @@ std::string FleetRunner::add_resume(const std::string& run_dir) {
   return jobs_.back()->run_id;
 }
 
-void FleetRunner::write_sidecar(const JobState& js) const {
-  io::atomic_write_file(js.dir + "/lease.bin", [&](std::ostream& os) {
-    io::write_string(os, kLeaseSchema);
-    io::write_string(os, js.run_id);
-    io::write_string(os, js.job.scenario);
-    io::write_pod(os, js.job.seed);
-    io::write_pod(os, static_cast<std::int64_t>(js.ranks));
-    io::write_pod(os, static_cast<std::int64_t>(js.steps_total));
-    io::write_pod(os, static_cast<std::int64_t>(js.steps_done));
-    io::write_pod(os, static_cast<std::int64_t>(js.leases));
-    io::write_pod(os, js.digest.value());
-    io::write_pod(os, js.carried.injected);
-    io::write_pod(os, js.carried.migrated_dsmc);
-    io::write_pod(os, js.carried.migrated_pic);
-    io::write_pod(os, js.carried.collisions);
-    io::write_pod(os, js.carried.ionizations);
-    io::write_pod(os, js.carried.recombinations);
-    io::write_pod(os, js.carried.rebalances);
-  });
+void FleetRunner::write_lease(const JobState& js) const {
+  const Lease lease{js.run_id,   js.job.scenario,   js.job.seed,
+                    js.ranks,    js.steps_total,    js.steps_done,
+                    js.leases,   js.digest.value(), js.carried};
+  io::atomic_write_file(js.dir + "/lease.bin",
+                        [&](std::ostream& os) { io::Writer{os}(lease); });
 }
 
 void FleetRunner::run_lease(JobState& js) {
@@ -177,7 +192,13 @@ void FleetRunner::run_lease(JobState& js) {
   core::CoupledSolver solver(cfg, par,
                              assets_->geometry(js.scenario->config.nozzle));
   if (hub) solver.set_telemetry(hub.get());
-  if (js.has_checkpoint) solver.restore_checkpoint(js.dir + "/checkpoint.bin");
+  if (js.has_checkpoint) {
+    solver.restore_checkpoint(js.dir + "/checkpoint.bin");
+    DSMCPIC_CHECK_MSG(solver.current_step() == js.steps_done,
+                      js.dir << "/checkpoint.bin is at step "
+                             << solver.current_step() << " but its lease at "
+                             << js.steps_done);
+  }
 
   int limit = js.steps_total;
   if (js.job.park_at > js.steps_done && js.job.park_at < limit)
@@ -202,7 +223,7 @@ void FleetRunner::run_lease(JobState& js) {
                       "preempting a run requires a results dir");
     for (const core::StepDiagnostics& d : solver.history()) js.carried.add(d);
     solver.save_checkpoint(js.dir + "/checkpoint.bin");
-    write_sidecar(js);
+    write_lease(js);
     js.has_checkpoint = true;
     js.state = (js.job.park_at > 0 && js.steps_done == js.job.park_at)
                    ? RunState::kParked

@@ -130,7 +130,7 @@ class FleetRunner {
 
   void run_lease(JobState& js);
   void finish_run(JobState& js, core::CoupledSolver& solver);
-  void write_sidecar(const JobState& js) const;
+  void write_lease(const JobState& js) const;
   static FleetRunResult make_result(const JobState& js);
   /// Renders + atomically publishes fleet_summary.json and
   /// fleet_metrics.prom for the given per-run snapshot.

@@ -12,34 +12,42 @@ namespace dsmcpic::mesh {
 namespace {
 constexpr std::uint64_t kMagic = 0x445350435f4d5348ULL;  // "DSPC_MSH"
 constexpr std::uint32_t kVersion = 1;
+
+/// The native format: nodes, tets and four boundary kinds per tet.
+struct NativeMesh {
+  std::vector<Vec3> nodes;
+  std::vector<std::array<std::int32_t, 4>> tets;
+  std::vector<std::uint8_t> kinds;
+
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar.constant(kMagic, "not a dsmcpic mesh file");
+    ar.constant(kVersion, "unsupported mesh file version");
+    ar(nodes, tets, kinds);
+  }
+};
+
 }  // namespace
 
 void write_native(const TetMesh& mesh, const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  DSMCPIC_CHECK_MSG(os.good(), "cannot open " << path << " for writing");
-  io::write_pod(os, kMagic);
-  io::write_pod(os, kVersion);
-  io::write_vec(os, mesh.nodes());
-  io::write_vec(os, mesh.tets());
-  std::vector<std::uint8_t> kinds(static_cast<std::size_t>(mesh.num_tets()) * 4);
+  NativeMesh m{mesh.nodes(), mesh.tets(),
+               std::vector<std::uint8_t>(
+                   static_cast<std::size_t>(mesh.num_tets()) * 4)};
   for (std::int32_t t = 0; t < mesh.num_tets(); ++t)
     for (int f = 0; f < 4; ++f)
-      kinds[t * 4 + f] = static_cast<std::uint8_t>(mesh.face_kind(t, f));
-  io::write_vec(os, kinds);
+      m.kinds[t * 4 + f] = static_cast<std::uint8_t>(mesh.face_kind(t, f));
+  std::ofstream os(path, std::ios::binary);
+  DSMCPIC_CHECK_MSG(os.good(), "cannot open " << path << " for writing");
+  io::Writer{os}(m);
 }
 
 TetMesh read_native(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   DSMCPIC_CHECK_MSG(is.good(), "cannot open " << path);
-  DSMCPIC_CHECK_MSG(io::read_pod<std::uint64_t>(is) == kMagic,
-                    "not a dsmcpic mesh file: " << path);
-  DSMCPIC_CHECK_MSG(io::read_pod<std::uint32_t>(is) == kVersion,
-                    "unsupported mesh file version");
-  auto nodes = io::read_vec<Vec3>(is);
-  auto tets = io::read_vec<std::array<std::int32_t, 4>>(is);
-  const auto kinds = io::read_vec<std::uint8_t>(is);
-  TetMesh mesh(std::move(nodes), std::move(tets));
-  mesh.assign_boundary_kinds(kinds);
+  NativeMesh m;
+  io::Reader{is}(m);
+  TetMesh mesh(std::move(m.nodes), std::move(m.tets));
+  mesh.assign_boundary_kinds(m.kinds);
   return mesh;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "support/serialize.hpp"
 #include "trace/recorder.hpp"
 
 namespace dsmcpic::par {
@@ -97,16 +96,16 @@ void Runtime::set_tracer(trace::TraceRecorder* rec) {
                                                   << " ranks, not " << nranks_);
   }
   tracer_ = rec;
-  trace_phase_ids_.assign(phase_names_.size(), -1);
+  trace_phase_ids_.assign(phases_.size(), -1);
   trace_work_keys_ready_ = false;
   trace_work_.assign(rec ? nranks_ : 0, {});
 }
 
 int Runtime::trace_phase(int pid) {
   if (static_cast<std::size_t>(pid) >= trace_phase_ids_.size())
-    trace_phase_ids_.resize(phase_names_.size(), -1);
+    trace_phase_ids_.resize(phases_.size(), -1);
   int& id = trace_phase_ids_[pid];
-  if (id < 0) id = tracer_->intern_phase(phase_names_[pid]);
+  if (id < 0) id = tracer_->intern_phase(phases_[pid].name);
   return id;
 }
 
@@ -141,18 +140,14 @@ void Runtime::trace_spans_since(const std::vector<double>& pre, int pid,
 
 int Runtime::phase_id(const std::string& phase) {
   auto [it, inserted] = phase_ids_.try_emplace(
-      phase, static_cast<int>(phase_names_.size()));
-  if (inserted) {
-    phase_names_.push_back(phase);
-    busy_.emplace_back(nranks_, 0.0);
-    phase_transactions_.push_back(0);
-    phase_bytes_.push_back(0.0);
-  }
+      phase, static_cast<int>(phases_.size()));
+  if (inserted)
+    phases_.push_back(PhaseAccount{phase, std::vector<double>(nranks_, 0.0)});
   return it->second;
 }
 
 void Runtime::charge_busy(int rank, int phase, double seconds) {
-  busy_[phase][rank] += seconds;
+  phases_[phase].busy[rank] += seconds;
 }
 
 double Runtime::tree_stages() const {
@@ -296,8 +291,8 @@ void Runtime::route_messages(int phase) {
       charge_busy(m.src, phase, cost);
       clocks_[m.dst] += cost;
       charge_busy(m.dst, phase, cost);
-      phase_transactions_[phase] += 1;
-      phase_bytes_[phase] += bytes;
+      phases_[phase].transactions += 1;
+      phases_[phase].bytes += bytes;
       if (tracer_) {
         trace::MessageRec rec;
         rec.src = m.src;
@@ -520,19 +515,19 @@ PhaseStats Runtime::phase_stats(const std::string& phase) const {
   PhaseStats s;
   auto it = phase_ids_.find(phase);
   if (it == phase_ids_.end()) return s;
-  const auto& row = busy_[it->second];
-  s.busy_max = *std::max_element(row.begin(), row.end());
-  s.busy_min = *std::min_element(row.begin(), row.end());
-  for (double v : row) s.busy_sum += v;
-  s.transactions = phase_transactions_[it->second];
-  s.bytes = phase_bytes_[it->second];
+  const PhaseAccount& p = phases_[it->second];
+  s.busy_max = *std::max_element(p.busy.begin(), p.busy.end());
+  s.busy_min = *std::min_element(p.busy.begin(), p.busy.end());
+  for (double v : p.busy) s.busy_sum += v;
+  s.transactions = p.transactions;
+  s.bytes = p.bytes;
   return s;
 }
 
 std::vector<double> Runtime::phase_busy(const std::string& phase) const {
   auto it = phase_ids_.find(phase);
   if (it == phase_ids_.end()) return std::vector<double>(nranks_, 0.0);
-  return busy_[it->second];
+  return phases_[it->second].busy;
 }
 
 std::vector<double> Runtime::busy_totals(
@@ -541,7 +536,7 @@ std::vector<double> Runtime::busy_totals(
   for (const auto& p : phases) {
     auto it = phase_ids_.find(p);
     if (it == phase_ids_.end()) continue;
-    const auto& row = busy_[it->second];
+    const auto& row = phases_[it->second].busy;
     for (int r = 0; r < nranks_; ++r) out[r] += row[r];
   }
   return out;
@@ -549,65 +544,53 @@ std::vector<double> Runtime::busy_totals(
 
 std::vector<double> Runtime::busy_all() const {
   std::vector<double> out(nranks_, 0.0);
-  for (const auto& row : busy_)
-    for (int r = 0; r < nranks_; ++r) out[r] += row[r];
+  for (const PhaseAccount& p : phases_)
+    for (int r = 0; r < nranks_; ++r) out[r] += p.busy[r];
   return out;
 }
 
-std::vector<std::string> Runtime::phases() const { return phase_names_; }
+std::vector<std::string> Runtime::phases() const {
+  std::vector<std::string> names;
+  names.reserve(phases_.size());
+  for (const PhaseAccount& p : phases_) names.push_back(p.name);
+  return names;
+}
 
-void Runtime::save(std::ostream& os) const {
+Runtime::Accounting Runtime::accounting() const {
   DSMCPIC_CHECK_MSG(staged_count() == 0, "cannot checkpoint mid-superstep");
   for (const auto& p : pending_)
     DSMCPIC_CHECK_MSG(p.empty(), "cannot checkpoint with undelivered messages");
-  io::write_pod<std::int32_t>(os, active_);
-  io::write_pod<std::uint64_t>(os, supersteps_);
-  io::write_vec(os, clocks_);
-  io::write_pod<std::uint64_t>(os, phase_names_.size());
-  for (std::size_t i = 0; i < phase_names_.size(); ++i) {
-    io::write_string(os, phase_names_[i]);
-    io::write_vec(os, busy_[i]);
-    io::write_pod(os, phase_transactions_[i]);
-    io::write_pod(os, phase_bytes_[i]);
-  }
+  return Accounting{active_, supersteps_, clocks_, phases_};
 }
 
-void Runtime::load(std::istream& is) {
+void Runtime::restore(Accounting acct) {
   // A pending message's bytes live in an arena picked by superstep parity,
   // which the restored counter may flip.
   DSMCPIC_CHECK_MSG(undelivered_messages() == 0,
                     "cannot restore with undelivered messages");
-  const auto active = io::read_pod<std::int32_t>(is);
-  DSMCPIC_CHECK_MSG(active >= 1 && active <= nranks_,
-                    "checkpoint active-rank count " << active
+  DSMCPIC_CHECK_MSG(acct.active >= 1 && acct.active <= nranks_,
+                    "checkpoint active-rank count " << acct.active
                                                     << " out of range");
-  active_ = active;  // restored verbatim; clocks below carry the frontier
-  supersteps_ = io::read_pod<std::uint64_t>(is);
-  clocks_ = io::read_vec<double>(is);
-  DSMCPIC_CHECK_MSG(static_cast<int>(clocks_.size()) == nranks_,
+  DSMCPIC_CHECK_MSG(static_cast<int>(acct.clocks.size()) == nranks_,
                     "checkpoint rank count mismatch");
-  const auto np = io::read_pod<std::uint64_t>(is);
-  phase_ids_.clear();
-  phase_names_.clear();
-  busy_.clear();
-  phase_transactions_.clear();
-  phase_bytes_.clear();
-  for (std::uint64_t i = 0; i < np; ++i) {
-    const std::string name = io::read_string(is);
-    DSMCPIC_CHECK_MSG(phase_ids_.emplace(name, static_cast<int>(i)).second,
-                      "checkpoint repeats phase '" << name << "'");
-    phase_names_.push_back(name);
-    busy_.push_back(io::read_vec<double>(is));
-    DSMCPIC_CHECK_MSG(static_cast<int>(busy_.back().size()) == nranks_,
-                      "checkpoint phase '" << name << "' has "
-                                           << busy_.back().size()
+  std::map<std::string, int> ids;
+  for (const PhaseAccount& p : acct.phases) {
+    DSMCPIC_CHECK_MSG(
+        ids.emplace(p.name, static_cast<int>(ids.size())).second,
+        "checkpoint repeats phase '" << p.name << "'");
+    DSMCPIC_CHECK_MSG(static_cast<int>(p.busy.size()) == nranks_,
+                      "checkpoint phase '" << p.name << "' has "
+                                           << p.busy.size()
                                            << " busy entries for " << nranks_
                                            << " ranks");
-    phase_transactions_.push_back(io::read_pod<std::uint64_t>(is));
-    phase_bytes_.push_back(io::read_pod<double>(is));
   }
+  active_ = acct.active;  // restored verbatim; clocks carry the frontier
+  supersteps_ = acct.supersteps;
+  clocks_ = std::move(acct.clocks);
+  phases_ = std::move(acct.phases);
+  phase_ids_ = std::move(ids);
   // Phase ids were renumbered; drop any cached recorder mapping.
-  trace_phase_ids_.assign(phase_names_.size(), -1);
+  trace_phase_ids_.assign(phases_.size(), -1);
 }
 
 }  // namespace dsmcpic::par

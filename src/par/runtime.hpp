@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <span>
@@ -146,6 +145,30 @@ struct PhaseStats {
 
 class Runtime {
  public:
+  /// One phase's cumulative accounting.
+  struct PhaseAccount {
+    std::string name;
+    std::vector<double> busy;  // per rank
+    std::uint64_t transactions = 0;
+    double bytes = 0.0;
+    template <class Ar>
+    void persist(Ar& ar) {
+      ar(name, busy, transactions, bytes);
+    }
+  };
+  /// The runtime state a checkpoint carries: everything but the message
+  /// queues, which are empty between supersteps.
+  struct Accounting {
+    std::int32_t active = 0;
+    std::uint64_t supersteps = 0;
+    std::vector<double> clocks;
+    std::vector<PhaseAccount> phases;  // first-use order
+    template <class Ar>
+    void persist(Ar& ar) {
+      ar(active, supersteps, clocks, phases);
+    }
+  };
+
   /// The scales map a scaled-down run back onto paper-sized virtual
   /// workloads (see DESIGN.md §1): `particle_scale` multiplies
   /// particle-proportional charges and payload bytes, `grid_scale`
@@ -298,10 +321,14 @@ class Runtime {
   /// auditor's mailbox invariant checks exactly this. Read-only.
   std::size_t undelivered_messages() const;
 
-  /// Binary checkpoint of the accounting state (clocks, per-phase busy
-  /// matrices). Message queues must be empty (between supersteps).
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
+  /// The accounting state for a checkpoint. Message queues must be empty
+  /// (between supersteps).
+  Accounting accounting() const;
+  /// Replaces the accounting state with `acct`, or throws dsmcpic::Error
+  /// and changes nothing: the active count must lie in [1, size()], every
+  /// clock and busy row must have one entry per rank, and phase names must
+  /// be unique.
+  void restore(Accounting acct);
 
   // ---- tracing (DESIGN.md §2e) ------------------------------------------
   /// Attaches a trace recorder; nullptr detaches. Recording is pure
@@ -341,12 +368,10 @@ class Runtime {
 
   std::vector<double> clocks_;
 
-  // busy_[phase][rank]; phase registry keeps first-use order.
+  // Phase registry in first-use order; phase_ids_ maps a name to its
+  // position in phases_.
   std::map<std::string, int> phase_ids_;
-  std::vector<std::string> phase_names_;
-  std::vector<std::vector<double>> busy_;
-  std::vector<std::uint64_t> phase_transactions_;
-  std::vector<double> phase_bytes_;
+  std::vector<PhaseAccount> phases_;
 
   std::vector<std::vector<Message>> pending_;  // delivery at next superstep
   std::vector<std::vector<Message>> inbox_;    // current superstep

@@ -2,23 +2,18 @@
 
 #include <filesystem>
 #include <fstream>
-#include <limits>
 
 namespace dsmcpic::io {
 
-void check_length(std::istream& is, std::uint64_t n, std::size_t elem_size) {
-  DSMCPIC_CHECK_MSG(n <= std::numeric_limits<std::uint64_t>::max() / elem_size,
-                    "corrupt length prefix " << n << " (size overflows)");
+std::uint64_t bytes_left(std::istream& is) {
+  constexpr auto kUnbounded = std::numeric_limits<std::uint64_t>::max();
   std::streambuf* buf = is.rdbuf();
   const auto here = buf->pubseekoff(0, std::ios::cur, std::ios::in);
-  if (here == std::streampos(-1)) return;  // not seekable: unchecked
+  if (here == std::streampos(-1)) return kUnbounded;
   const auto end = buf->pubseekoff(0, std::ios::end, std::ios::in);
   buf->pubseekpos(here, std::ios::in);
-  if (end == std::streampos(-1)) return;
-  const std::uint64_t left = static_cast<std::uint64_t>(end - here);
-  DSMCPIC_CHECK_MSG(n * elem_size <= left,
-                    "corrupt length prefix " << n << " x " << elem_size
-                        << " bytes, only " << left << " left in the stream");
+  if (end == std::streampos(-1)) return kUnbounded;
+  return static_cast<std::uint64_t>(end - here);
 }
 
 void atomic_write_file(const std::string& path,

@@ -14,6 +14,7 @@
 #include "balance/cost_model.hpp"
 #include "balance/policy.hpp"
 #include "support/error.hpp"
+#include "support/serialize.hpp"
 
 namespace dsmcpic::balance {
 namespace {
@@ -150,17 +151,21 @@ TEST(CostModel, SaveLoadRoundtripPreservesScales) {
   for (int i = 0; i < 7; ++i) m.observe_step(measured, predicted);
 
   std::stringstream ss;
-  m.save(ss);
+  io::Writer w(ss);
+  w(m);
   CostModel restored(cfg, 3);
-  restored.load(ss);
+  io::Reader r(ss);
+  r(restored);
   EXPECT_EQ(restored.observations(), m.observations());
   for (int r = 0; r < 3; ++r)
     EXPECT_DOUBLE_EQ(restored.rank_scale(r), m.rank_scale(r));
 
   std::stringstream ss2;
-  m.save(ss2);
+  io::Writer w2(ss2);
+  w2(m);
   CostModel wrong(cfg, 2);  // rank-count mismatch must be rejected
-  EXPECT_THROW(wrong.load(ss2), Error);
+  io::Reader r2(ss2);
+  EXPECT_THROW(r2(wrong), Error);
 }
 
 // ---- RebalancePolicy --------------------------------------------------------
@@ -337,9 +342,11 @@ TEST(RebalancePolicy, SaveLoadRoundtripPreservesDecisions) {
   p.observe_rebalance(3.0);
 
   std::stringstream ss;
-  p.save(ss);
+  io::Writer w(ss);
+  w(p);
   RebalancePolicy q(cfg);
-  q.load(ss);
+  io::Reader r(ss);
+  r(q);
   EXPECT_DOUBLE_EQ(q.rebalance_cost_estimate(), p.rebalance_cost_estimate());
   EXPECT_DOUBLE_EQ(q.imbalance_per_step(), p.imbalance_per_step());
   EXPECT_DOUBLE_EQ(q.residual_imbalance(), p.residual_imbalance());

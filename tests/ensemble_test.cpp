@@ -16,6 +16,7 @@
 #include "core/datasets.hpp"
 #include "core/solver.hpp"
 #include "support/error.hpp"
+#include "support/serialize.hpp"
 #include "trace/recorder.hpp"
 
 namespace dsmcpic {
@@ -136,9 +137,11 @@ TEST(Ensemble, SaveLoadRoundTrip) {
   p.observe_step(comp, 400.0);
   p.decide(3, 32);
   std::stringstream ss;
-  p.save(ss);
+  io::Writer w(ss);
+  w(p);
   EnsemblePolicy q(cfg, 32);
-  q.load(ss);
+  io::Reader r(ss);
+  r(q);
   EXPECT_EQ(q.resizes(), p.resizes());
   ASSERT_EQ(q.decisions().size(), p.decisions().size());
   EXPECT_EQ(q.decisions().back().step, 3);

@@ -21,23 +21,34 @@ namespace {
 
 TEST(Serialize, PodAndVectorRoundTrip) {
   std::stringstream ss;
-  io::write_pod<double>(ss, 3.25);
-  io::write_pod<std::int32_t>(ss, -7);
-  io::write_vec<std::int64_t>(ss, {1, 2, 3});
-  io::write_vec<double>(ss, {});
-  io::write_string(ss, "hello world");
-  EXPECT_DOUBLE_EQ(io::read_pod<double>(ss), 3.25);
-  EXPECT_EQ(io::read_pod<std::int32_t>(ss), -7);
-  EXPECT_EQ(io::read_vec<std::int64_t>(ss), (std::vector<std::int64_t>{1, 2, 3}));
-  EXPECT_TRUE(io::read_vec<double>(ss).empty());
-  EXPECT_EQ(io::read_string(ss), "hello world");
+  io::Writer w(ss);
+  w(3.25, std::int32_t{-7}, std::vector<std::int64_t>{1, 2, 3},
+    std::vector<double>{}, std::string("hello world"), true);
+  double d = 0.0;
+  std::int32_t i = 0;
+  std::vector<std::int64_t> v64{9};
+  std::vector<double> empty{1.0};
+  std::string s;
+  bool b = false;
+  io::Reader r(ss);
+  r(d, i, v64, empty, s, b);
+  EXPECT_DOUBLE_EQ(d, 3.25);
+  EXPECT_EQ(i, -7);
+  EXPECT_EQ(v64, (std::vector<std::int64_t>{1, 2, 3}));
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(s, "hello world");
+  EXPECT_TRUE(b);
+  EXPECT_EQ(r.left(), 0u);
 }
 
 TEST(Serialize, TruncatedStreamThrows) {
   std::stringstream ss;
-  io::write_vec<double>(ss, {1, 2, 3});
+  io::Writer w(ss);
+  w(std::vector<double>{1, 2, 3});
   std::stringstream cut(ss.str().substr(0, 12));  // chop mid-payload
-  EXPECT_THROW(io::read_vec<double>(cut), Error);
+  std::vector<double> v;
+  io::Reader r(cut);
+  EXPECT_THROW(r(v), Error);
 }
 
 TEST(RzMap, RecoverConstantAndGradientFields) {
@@ -144,9 +155,13 @@ TEST(Runtime, SaveLoadRoundTrip) {
   });
   a.barrier("sync");
   std::stringstream ss;
-  a.save(ss);
+  io::Writer w(ss);
+  w(a.accounting());
+  par::Runtime::Accounting acct;
+  io::Reader r(ss);
+  r(acct);
   par::Runtime b(3, par::Topology(par::MachineProfile::tianhe2(), 3));
-  b.load(ss);
+  b.restore(std::move(acct));
   EXPECT_DOUBLE_EQ(b.total_time(), a.total_time());
   EXPECT_DOUBLE_EQ(b.phase_stats("w").busy_max, a.phase_stats("w").busy_max);
   EXPECT_EQ(b.phases(), a.phases());

@@ -13,7 +13,6 @@
 #include "par/channel.hpp"
 #include "par/machine.hpp"
 #include "par/runtime.hpp"
-#include "support/serialize.hpp"
 #include "trace/recorder.hpp"
 
 namespace dsmcpic::par {
@@ -645,22 +644,14 @@ TEST(Runtime, SuperstepCounterCounts) {
   EXPECT_EQ(rt.supersteps(), 2u);
 }
 
-/// A hand-written Runtime::save stream for 3 ranks: one phase per
-/// (name, busy row) pair.
-std::string runtime_stream(
+/// Hand-written accounting for 3 ranks: one phase per (name, busy row)
+/// pair.
+Runtime::Accounting runtime_accounting(
     const std::vector<std::pair<std::string, std::vector<double>>>& phases) {
-  std::ostringstream os;
-  io::write_pod<std::int32_t>(os, 3);   // active ranks
-  io::write_pod<std::uint64_t>(os, 7);  // supersteps
-  io::write_vec(os, std::vector<double>{1.0, 2.0, 3.0});
-  io::write_pod<std::uint64_t>(os, phases.size());
-  for (const auto& [name, busy] : phases) {
-    io::write_string(os, name);
-    io::write_vec(os, busy);
-    io::write_pod<std::uint64_t>(os, 1);
-    io::write_pod<double>(os, 8.0);
-  }
-  return os.str();
+  Runtime::Accounting acct{3, 7, {1.0, 2.0, 3.0}, {}};
+  for (const auto& [name, busy] : phases)
+    acct.phases.push_back(Runtime::PhaseAccount{name, busy, 1, 8.0});
+  return acct;
 }
 
 // A busy row shorter than the rank count would be written past its end by
@@ -669,8 +660,7 @@ std::string runtime_stream(
 TEST(Runtime, LoadRejectsABusyRowOfTheWrongLength) {
   {
     Runtime rt = make_runtime(3);
-    std::istringstream is(runtime_stream({{"a", {1, 2, 3}}, {"b", {0, 0, 1}}}));
-    rt.load(is);
+    rt.restore(runtime_accounting({{"a", {1, 2, 3}}, {"b", {0, 0, 1}}}));
     EXPECT_EQ(rt.supersteps(), 7u);
     EXPECT_EQ(rt.phases(), (std::vector<std::string>{"a", "b"}));
     EXPECT_EQ(rt.phase_stats("a").busy_max, 3.0);
@@ -678,8 +668,12 @@ TEST(Runtime, LoadRejectsABusyRowOfTheWrongLength) {
   for (const std::vector<double>& row :
        {std::vector<double>{1, 2}, std::vector<double>{}}) {
     Runtime rt = make_runtime(3);
-    std::istringstream is(runtime_stream({{"a", {1, 2, 3}}, {"b", row}}));
-    EXPECT_THROW(rt.load(is), Error) << row.size() << " entries";
+    EXPECT_THROW(rt.restore(runtime_accounting({{"a", {1, 2, 3}}, {"b", row}})),
+                 Error)
+        << row.size() << " entries";
+    // Refused: the runtime is as it was.
+    EXPECT_EQ(rt.supersteps(), 0u);
+    EXPECT_TRUE(rt.phases().empty());
   }
 }
 
@@ -687,8 +681,9 @@ TEST(Runtime, LoadRejectsABusyRowOfTheWrongLength) {
 // busy row that no name reaches.
 TEST(Runtime, LoadRejectsADuplicatePhaseName) {
   Runtime rt = make_runtime(3);
-  std::istringstream is(runtime_stream({{"a", {1, 2, 3}}, {"a", {4, 5, 6}}}));
-  EXPECT_THROW(rt.load(is), Error);
+  EXPECT_THROW(
+      rt.restore(runtime_accounting({{"a", {1, 2, 3}}, {"a", {4, 5, 6}}})),
+      Error);
 }
 
 // ---- persistent channels ----------------------------------------------------

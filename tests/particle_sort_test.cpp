@@ -14,6 +14,7 @@
 
 #include "dsmc/particles.hpp"
 #include "support/rng.hpp"
+#include "support/serialize.hpp"
 
 namespace dsmcpic::dsmc {
 namespace {
@@ -184,9 +185,11 @@ TEST(ParticleSort, CheckpointRoundTripsSortedSoALayout) {
   store.sort_by_cell(num_cells, scratch);
 
   std::stringstream ss;
-  store.save(ss);
+  io::Writer w(ss);
+  w(store);
   ParticleStore loaded;
-  loaded.load(ss);
+  io::Reader r(ss);
+  r(loaded);
 
   ASSERT_EQ(loaded.size(), store.size());
   for (std::size_t i = 0; i < store.size(); ++i)

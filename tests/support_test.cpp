@@ -299,30 +299,41 @@ TEST(KernelExec, InsideThePoolsBatchRunsOneChunkInline) {
 TEST(Serialize, LengthPrefixBoundedByBytesLeft) {
   const auto stream_with = [](std::uint64_t n, std::size_t payload) {
     std::stringstream ss;
-    io::write_pod(ss, n);
+    io::Writer w(ss);
+    w(n);
     ss << std::string(payload, 'x');
     return ss;
   };
+  // Reads one field of type T from `ss`.
+  const auto read = []<class T>(std::stringstream& ss, T& field) {
+    io::Reader r(ss);
+    r(field);
+  };
+  std::string s;
+  std::vector<std::uint64_t> u64s;
+  std::vector<double> doubles;
   {
     std::stringstream ss = stream_with(3, 3);
-    EXPECT_EQ(io::read_string(ss), "xxx");
+    read(ss, s);
+    EXPECT_EQ(s, "xxx");
   }
   {
     std::stringstream ss = stream_with(2, 16);
-    EXPECT_EQ(io::read_vec<std::uint64_t>(ss).size(), 2u);
+    read(ss, u64s);
+    EXPECT_EQ(u64s.size(), 2u);
   }
   {
     std::stringstream ss = stream_with(3, 16);  // 24 bytes wanted, 16 left
-    EXPECT_THROW(io::read_vec<std::uint64_t>(ss), Error);
+    EXPECT_THROW(read(ss, u64s), Error);
   }
   {
     std::stringstream ss = stream_with(std::uint64_t{1} << 56, 8);
-    EXPECT_THROW(io::read_string(ss), Error);
+    EXPECT_THROW(read(ss, s), Error);
   }
   {
     std::stringstream ss =
         stream_with(std::numeric_limits<std::uint64_t>::max() / 2, 8);
-    EXPECT_THROW(io::read_vec<double>(ss), Error);  // size overflows
+    EXPECT_THROW(read(ss, doubles), Error);  // size overflows
   }
 }
 
